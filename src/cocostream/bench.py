@@ -9,7 +9,7 @@ absolute-error distributions summarized as min/max/mean/std.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +43,26 @@ class MetricSummary:
     std_error: float
 
 
+def synthetic_runs(
+    ground_truth: Dataset,
+    image_counts: Sequence[int],
+    repeats: int,
+    seed: int,
+    params: PerturbationParams,
+) -> Iterator[tuple[int, int, Dataset, Dataset]]:
+    """Yield (n, run_index, sampled, synthetic) per image count and repeat.
+
+    One SeedSequence(seed) supplies two seeds per run, in run order: first
+    the sampling seed, then the perturbation seed.
+    """
+    seeds = iter(np.random.SeedSequence(seed).generate_state(2 * len(image_counts) * repeats))
+    for n in image_counts:
+        for run in range(repeats):
+            sampled = sample_images(ground_truth, n, seed=int(next(seeds)))
+            synthetic = perturb(sampled, replace(params, seed=int(next(seeds))))
+            yield n, run, sampled, synthetic
+
+
 def run_synth_bench(
     ground_truth: Dataset,
     config: EvalConfig,
@@ -57,34 +77,27 @@ def run_synth_bench(
             raise ValueError(
                 f"image count {n} exceeds dataset size {len(ground_truth.images)}"
             )
-    base_params = params or PerturbationParams()
-    seeds = np.random.SeedSequence(seed).generate_state(2 * len(image_counts) * repeats)
-
+    runs = synthetic_runs(ground_truth, image_counts, repeats, seed, params or PerturbationParams())
     rows: list[ErrorMarginRow] = []
-    s = 0
-    for n in image_counts:
-        for run in range(repeats):
-            sampled = sample_images(ground_truth, n, seed=int(seeds[s]))
-            synthetic = perturb(sampled, replace(base_params, seed=int(seeds[s + 1])))
-            s += 2
-            pairs = synthetic.pairs()
-            streaming_report = finalize(update(new_state(config), pairs))
-            exact_report = evaluate_exact(pairs, config)
-            sd = streaming_report.as_dict()
-            ed = exact_report.as_dict()
-            for name in METRIC_NAMES:
-                sv, ev = sd[name], ed[name]
-                defined = sv != UNDEFINED and ev != UNDEFINED
-                rows.append(
-                    ErrorMarginRow(
-                        metric_name=name,
-                        n_images=n,
-                        run_index=run,
-                        streaming_value=sv,
-                        exact_value=ev,
-                        abs_error=abs(sv - ev) if defined else UNDEFINED,
-                    )
+    for n, run, _, synthetic in runs:
+        pairs = synthetic.pairs()
+        streaming_report = finalize(update(new_state(config), pairs))
+        exact_report = evaluate_exact(pairs, config)
+        sd = streaming_report.as_dict()
+        ed = exact_report.as_dict()
+        for name in METRIC_NAMES:
+            sv, ev = sd[name], ed[name]
+            defined = sv != UNDEFINED and ev != UNDEFINED
+            rows.append(
+                ErrorMarginRow(
+                    metric_name=name,
+                    n_images=n,
+                    run_index=run,
+                    streaming_value=sv,
+                    exact_value=ev,
+                    abs_error=abs(sv - ev) if defined else UNDEFINED,
                 )
+            )
     return rows
 
 

@@ -9,7 +9,7 @@ import math
 import sys
 from pathlib import Path
 
-from .bench import run_synth_bench, summarize
+from .bench import run_synth_bench, summarize, synthetic_runs
 from .config import (
     METRIC_LABELS,
     METRIC_NAMES,
@@ -227,23 +227,12 @@ def _emit_interchange(
     emit_dir: Path,
 ) -> None:
     """Write each run's sampled GT and synthetic detections as challenge JSON."""
-    import numpy as np
-    from dataclasses import replace
-
-    from .ingest import perturb, sample_images
-
-    seeds = np.random.SeedSequence(seed).generate_state(2 * len(image_counts) * repeats)
-    s = 0
-    for n in image_counts:
-        for run in range(repeats):
-            sampled = sample_images(gt, n, seed=int(seeds[s]))
-            synthetic = perturb(sampled, replace(params, seed=int(seeds[s + 1])))
-            s += 2
-            stem = f"n{n}_run{run}"
-            with open(emit_dir / f"{stem}_annotations.json", "w") as fh:
-                json.dump(dataset_to_annotation_doc(sampled), fh)
-            with open(emit_dir / f"{stem}_detections.json", "w") as fh:
-                json.dump(dataset_to_results_doc(synthetic), fh)
+    for n, run, sampled, synthetic in synthetic_runs(gt, image_counts, repeats, seed, params):
+        stem = f"n{n}_run{run}"
+        with open(emit_dir / f"{stem}_annotations.json", "w") as fh:
+            json.dump(dataset_to_annotation_doc(sampled), fh)
+        with open(emit_dir / f"{stem}_detections.json", "w") as fh:
+            json.dump(dataset_to_results_doc(synthetic), fh)
 
 
 def build_parser() -> argparse.ArgumentParser:

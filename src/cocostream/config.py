@@ -91,6 +91,8 @@ class EvalConfig:
             raise ConfigError(f"duplicate area range names: {names}")
         if not self.max_dets_list:
             raise ConfigError("max_dets_list must be non-empty")
+        # The last limit is taken as the largest; smaller ones are prefixes.
+        _require_strictly_increasing("max_dets_list", self.max_dets_list)
         for m in self.max_dets_list:
             if m < 1:
                 raise ConfigError(f"max_dets must be >= 1, got {m}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -89,13 +89,40 @@ def _load_document(source: Source) -> dict | list:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
-def _corner_box(bbox: Sequence[float], where: str) -> BoundingBox:
+def _field(entry: object, key: str, where: str) -> object:
+    """entry[key], or a ParseError naming where the entry sits."""
+    if not isinstance(entry, dict):
+        raise ParseError(f"{where}: expected an object, got {type(entry).__name__}")
+    if key not in entry:
+        raise ParseError(f"{where}: missing '{key}'")
+    return entry[key]
+
+
+def _number(entry: object, key: str, kind: type, where: str):
+    """entry[key] converted by kind (int or float), or a ParseError naming where."""
+    value = _field(entry, key, where)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{where}: '{key}' is not a number: {value!r}") from None
+
+
+def _corner_box(entry: object, where: str) -> BoundingBox:
+    bbox = _field(entry, "bbox", where)
+    if not isinstance(bbox, (list, tuple)):
+        raise ParseError(f"{where}: bbox must be a list, got {type(bbox).__name__}")
     if len(bbox) != 4:
         raise ParseError(f"{where}: bbox must have 4 entries, got {len(bbox)}")
-    x, y, w, h = (float(v) for v in bbox)
+    try:
+        x, y, w, h = (float(v) for v in bbox)
+    except (TypeError, ValueError):
+        raise ParseError(f"{where}: bbox entries must be numbers, got {bbox!r}") from None
     if w < 0 or h < 0:
         raise ValidationError(f"{where}: negative box size ({w} x {h})")
-    return BoundingBox(left=x, top=y, right=x + w, bottom=y + h)
+    try:
+        return BoundingBox(left=x, top=y, right=x + w, bottom=y + h)
+    except ValueError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def load_ground_truth(source: Source) -> Dataset:
@@ -105,15 +132,17 @@ def load_ground_truth(source: Source) -> Dataset:
         if section not in doc:
             raise ParseError(f"annotation document missing '{section}' section")
 
-    category_ids = tuple(sorted(int(c["id"]) for c in doc["categories"]))
+    category_ids = tuple(
+        sorted(_number(c, "id", int, f"categories[{i}]") for i, c in enumerate(doc["categories"]))
+    )
     if len(set(category_ids)) != len(category_ids):
         raise ParseError(f"duplicate category ids: {category_ids}")
     index_of = {cid: i for i, cid in enumerate(category_ids)}
 
     gts_by_image: dict[int, list[GroundTruth]] = {}
     image_order = []
-    for img in doc["images"]:
-        image_id = int(img["id"])
+    for i, img in enumerate(doc["images"]):
+        image_id = _number(img, "id", int, f"images[{i}]")
         if image_id in gts_by_image:
             raise ParseError(f"duplicate image id: {image_id}")
         gts_by_image[image_id] = []
@@ -121,13 +150,13 @@ def load_ground_truth(source: Source) -> Dataset:
 
     for i, ann in enumerate(doc["annotations"]):
         where = f"annotations[{i}]"
-        image_id = int(ann["image_id"])
+        image_id = _number(ann, "image_id", int, where)
         if image_id not in gts_by_image:
             raise ValidationError(f"{where}: unknown image id {image_id}")
-        cat = int(ann["category_id"])
+        cat = _number(ann, "category_id", int, where)
         if cat not in index_of:
             raise ValidationError(f"{where}: unknown category id {cat}")
-        box = _corner_box(ann["bbox"], where)
+        box = _corner_box(ann, where)
         gts_by_image[image_id].append(GroundTruth(box=box, class_id=index_of[cat]))
 
     images = tuple(
@@ -150,15 +179,19 @@ def load_detections(source: Source, base: Dataset) -> Dataset:
     dets: dict[int, list[Detection]] = {rec.image_id: [] for rec in base.images}
     for i, row in enumerate(doc):
         where = f"results[{i}]"
-        image_id = int(row["image_id"])
+        image_id = _number(row, "image_id", int, where)
         if image_id not in by_image:
             raise ValidationError(f"{where}: unknown image id {image_id}")
-        score = float(row["score"])
+        score = _number(row, "score", float, where)
         if not (0.0 <= score <= 1.0):
             raise ValidationError(f"{where}: score outside [0, 1]: {score}")
-        class_idx = base.class_index(int(row["category_id"]))
-        box = _corner_box(row["bbox"], where)
-        dets[image_id].append(Detection(box=box, class_id=class_idx, confidence=score))
+        cat = _number(row, "category_id", int, where)
+        if cat not in base.category_ids:
+            raise ValidationError(f"{where}: unknown category id {cat}")
+        box = _corner_box(row, where)
+        dets[image_id].append(
+            Detection(box=box, class_id=base.class_index(cat), confidence=score)
+        )
 
     images = tuple(
         replace(rec, detections=tuple(dets[rec.image_id])) for rec in base.images

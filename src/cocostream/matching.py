@@ -5,6 +5,12 @@ Each detection claims the unmatched same-class ground truth with the
 highest IoU when that IoU reaches the threshold; otherwise it is a false
 positive. Area filtering removes both detections and ground truths before
 matching, and max-dets truncation happens after area filtering.
+
+match_image_class is the scalar reference for one grid cell. match_image
+serves both evaluation paths: per (class, area) it matches once, at the
+largest max-dets limit, and returns numpy arrays; each smaller limit is a
+prefix of that match, since greedy matching never revisits an earlier
+detection.
 """
 
 from __future__ import annotations
@@ -87,18 +93,32 @@ def match_image_class(
 
 
 @dataclass(frozen=True)
-class ImageMatches:
-    """Match results for every cell of a config grid on one image.
+class CellMatches:
+    """One image's detections for one (class, area) cell, matched once.
 
-    Stored sparsely: classes absent from both inputs are represented by
-    EMPTY_MATCH rather than materialized.
+    Matching runs at the largest max-dets limit only; because greedy
+    matching is prefix-stable, a smaller limit m is read as the first m
+    columns.
+    """
+
+    confidences: np.ndarray  # (n,) descending, stable on ties
+    tp: np.ndarray  # (|Theta|, n) bool, one row per IoU threshold
+    gt_count: int  # ground truths in the area range
+
+
+@dataclass(frozen=True)
+class ImageMatches:
+    """Matches for one image, one CellMatches per present (class, area).
+
+    Classes absent from both inputs have no cells and read as EMPTY_MATCH.
     """
 
     config: EvalConfig
-    cells: dict[tuple[int, int, int, int], MatchResult]
+    cells: dict[tuple[int, int], CellMatches]
     present_classes: tuple[int, ...]
 
     def result(self, class_id: int, iou_idx: int, area_idx: int, maxdets_idx: int) -> MatchResult:
+        """The verdicts of one grid cell: a prefix of the (class, area) match."""
         cfg = self.config
         if not (0 <= class_id < cfg.num_classes):
             raise MatchingError(f"class id {class_id} outside [0, {cfg.num_classes})")
@@ -108,7 +128,15 @@ class ImageMatches:
             raise IndexError(f"area index {area_idx} out of range")
         if not (0 <= maxdets_idx < len(cfg.max_dets_list)):
             raise IndexError(f"max-dets index {maxdets_idx} out of range")
-        return self.cells.get((class_id, iou_idx, area_idx, maxdets_idx), EMPTY_MATCH)
+        cell = self.cells.get((class_id, area_idx))
+        if cell is None:
+            return EMPTY_MATCH
+        m = cfg.max_dets_list[maxdets_idx]
+        verdicts = tuple(
+            Verdict(float(c), bool(f))
+            for c, f in zip(cell.confidences[:m], cell.tp[iou_idx, :m])
+        )
+        return MatchResult(verdicts=verdicts, gt_count=cell.gt_count)
 
 
 def match_image(
@@ -116,103 +144,82 @@ def match_image(
     ground_truths: Sequence[GroundTruth],
     config: EvalConfig,
 ) -> ImageMatches:
-    """Match one image over the full (class, theta, area, max-dets) grid.
+    """Match one image over every present (class, area) cell.
 
     Padding entries are stripped internally. Class ids must lie in
-    [0, config.num_classes) after stripping.
+    [0, config.num_classes) after stripping. Equivalent, cell by cell, to
+    match_image_class (asserted by tests); the IoU matrix is computed once
+    per class, and greedy matching runs once per (class, area, theta).
     """
-    dets = strip_padding(detections)
-    gts = strip_padding(ground_truths)
-
     dets_by_class: dict[int, list[Detection]] = {}
-    for d in dets:
+    for d in strip_padding(detections):
         dets_by_class.setdefault(d.class_id, []).append(d)
     gts_by_class: dict[int, list[GroundTruth]] = {}
-    for g in gts:
+    for g in strip_padding(ground_truths):
         gts_by_class.setdefault(g.class_id, []).append(g)
 
     present = sorted(set(dets_by_class) | set(gts_by_class))
+    top = config.max_dets_list[-1]
+    cells: dict[tuple[int, int], CellMatches] = {}
     for k in present:
         if not (0 <= k < config.num_classes):
-            raise MatchingError(
-                f"class id {k} outside [0, {config.num_classes})"
-            )
-
-    cells: dict[tuple[int, int, int, int], MatchResult] = {}
-    for k in present:
-        k_dets = dets_by_class.get(k, [])
-        k_gts = gts_by_class.get(k, [])
-        _match_class_grid(k, k_dets, k_gts, config, cells)
+            raise MatchingError(f"class id {k} outside [0, {config.num_classes})")
+        dets = sorted(dets_by_class.get(k, []), key=lambda d: -d.confidence)
+        confs = np.array([d.confidence for d in dets], dtype=float)
+        det_boxes = _box_array(dets)
+        gt_boxes = _box_array(gts_by_class.get(k, []))
+        det_areas = _areas(det_boxes)
+        gt_areas = _areas(gt_boxes)
+        ious = _iou_matrix(det_boxes, gt_boxes)
+        for a_idx, (_, area) in enumerate(config.area_ranges):
+            rows = np.nonzero(
+                (det_areas >= area.min_area) & (det_areas < area.max_area)
+            )[0][:top]
+            cols = np.nonzero(
+                (gt_areas >= area.min_area) & (gt_areas < area.max_area)
+            )[0]
+            sub = ious[np.ix_(rows, cols)]
+            tp = np.zeros((len(config.iou_thresholds), len(rows)), dtype=bool)
+            for t_idx, theta in enumerate(config.iou_thresholds):
+                tp[t_idx] = _greedy_tp_flags(sub, theta)
+            cells[(k, a_idx)] = CellMatches(confs[rows], tp, len(cols))
     return ImageMatches(config=config, cells=cells, present_classes=tuple(present))
 
 
-def _match_class_grid(
-    class_id: int,
-    detections: list[Detection],
-    ground_truths: list[GroundTruth],
-    config: EvalConfig,
-    cells: dict[tuple[int, int, int, int], MatchResult],
-) -> None:
-    """Fill every grid cell for one class, sharing IoU work across cells.
-
-    Equivalent to calling match_image_class per cell (asserted by tests);
-    the IoU matrix is computed once per class instead of once per cell.
-    """
-    dets = sorted(detections, key=lambda d: -d.confidence)
-    det_areas = np.array([box_area(d.box) for d in dets], dtype=float)
-    gt_areas = np.array([box_area(g.box) for g in ground_truths], dtype=float)
-    ious = _iou_matrix(dets, ground_truths)
-
-    for a_idx, (_, area) in enumerate(config.area_ranges):
-        det_rows = np.nonzero(
-            (det_areas >= area.min_area) & (det_areas < area.max_area)
-        )[0]
-        gt_cols = np.nonzero(
-            (gt_areas >= area.min_area) & (gt_areas < area.max_area)
-        )[0]
-        gt_count = len(gt_cols)
-        for m_idx, max_dets in enumerate(config.max_dets_list):
-            rows = det_rows[:max_dets]
-            sub = ious[np.ix_(rows, gt_cols)]
-            confs = [dets[r].confidence for r in rows]
-            for t_idx, theta in enumerate(config.iou_thresholds):
-                flags = _greedy_tp_flags(sub, theta)
-                verdicts = tuple(
-                    Verdict(c, bool(f)) for c, f in zip(confs, flags)
-                )
-                cells[(class_id, t_idx, a_idx, m_idx)] = MatchResult(
-                    verdicts=verdicts, gt_count=gt_count
-                )
+def _box_array(items: Sequence[Detection] | Sequence[GroundTruth]) -> np.ndarray:
+    """(n, 4) corner coordinates."""
+    return np.array(
+        [[x.box.left, x.box.top, x.box.right, x.box.bottom] for x in items], dtype=float
+    ).reshape(-1, 4)
 
 
-def _iou_matrix(dets: Sequence[Detection], gts: Sequence[GroundTruth]) -> np.ndarray:
-    if not dets or not gts:
-        return np.zeros((len(dets), len(gts)))
-    db = np.array([[d.box.left, d.box.top, d.box.right, d.box.bottom] for d in dets])
-    gb = np.array([[g.box.left, g.box.top, g.box.right, g.box.bottom] for g in gts])
+def _areas(boxes: np.ndarray) -> np.ndarray:
+    """Same product as geometry.box_area, per row."""
+    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+
+
+def _iou_matrix(db: np.ndarray, gb: np.ndarray) -> np.ndarray:
+    if not len(db) or not len(gb):
+        return np.zeros((len(db), len(gb)))
     iw = np.minimum(db[:, None, 2], gb[None, :, 2]) - np.maximum(db[:, None, 0], gb[None, :, 0])
     ih = np.minimum(db[:, None, 3], gb[None, :, 3]) - np.maximum(db[:, None, 1], gb[None, :, 1])
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    da = (db[:, 2] - db[:, 0]) * (db[:, 3] - db[:, 1])
-    ga = (gb[:, 2] - gb[:, 0]) * (gb[:, 3] - gb[:, 1])
-    union = da[:, None] + ga[None, :] - inter
+    union = _areas(db)[:, None] + _areas(gb)[None, :] - inter
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
     return out
 
 
-def _greedy_tp_flags(ious: np.ndarray, theta: float) -> list[bool]:
+def _greedy_tp_flags(ious: np.ndarray, theta: float) -> np.ndarray:
     """Greedy assignment over a (dets x gts) IoU matrix, rows in match order."""
     n_det, n_gt = ious.shape
+    flags = np.zeros(n_det, dtype=bool)
     if n_gt == 0:
-        return [False] * n_det
+        return flags
     avail = ious.copy()
-    flags = []
     for r in range(n_det):
         j = int(np.argmax(avail[r]))  # first max: lowest gt index wins ties
         if avail[r, j] >= theta:
             avail[:, j] = -1.0
-            flags.append(True)
-        else:
-            flags.append(False)
+            flags[r] = True
     return flags

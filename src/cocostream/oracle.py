@@ -1,31 +1,23 @@
 """Exact reference evaluation via the global sort-by-confidence procedure.
 
-Keeps the full per-detection verdict list (the variable-size state the
-streaming module avoids), sorts detections globally per cell, and walks
-descending-confidence prefixes to build the exact precision-recall curve.
-Uses the same matching module as the streaming path, so any difference
-between the two is pure bucketing error.
+Keeps every image's (class, area) match at the largest max-dets limit (the
+variable-size state the streaming module avoids), sorts each cell's
+detections globally by confidence, and walks descending-confidence prefixes
+to build the exact precision-recall curve. Matching and the 12-metric
+reducer are shared with the streaming path, so any difference between the
+two is pure bucketing error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import UNDEFINED, EvalConfig, MetricReport
-from .geometry import Detection, GroundTruth, box_area, strip_padding
-from .matching import match_image
-from .streaming import interpolate_ap
-
-
-@dataclass(frozen=True)
-class ScoredVerdict:
-    confidence: float
-    is_tp: bool
-    class_id: int
-    cell: tuple[int, int, int]  # (iou_idx, area_idx, maxdets_idx)
+from .config import EvalConfig, MetricReport
+from .geometry import Detection, GroundTruth
+from .matching import CellMatches, match_image
+from .streaming import cell_ap, metric_report
 
 
 def evaluate_exact(
@@ -33,92 +25,32 @@ def evaluate_exact(
     config: EvalConfig,
 ) -> MetricReport:
     """Exact 12-metric report over an in-memory dataset."""
-    n_t = len(config.iou_thresholds)
     n_k = config.num_classes
     n_a = len(config.area_ranges)
-    n_m = len(config.max_dets_list)
+    limits = np.array(config.max_dets_list)
 
-    # (conf, is_tp) accumulated per (t, k, a, m) cell in dataset order.
-    verdicts: dict[tuple[int, int, int, int], list[tuple[float, bool]]] = {}
+    # Non-empty matches per (class, area) in dataset order, so the stable
+    # global sort breaks confidence ties by image order.
+    matches: dict[tuple[int, int], list[CellMatches]] = {}
     gamma = np.zeros((n_k, n_a), dtype=np.int64)
+    tp_totals = np.zeros((len(config.iou_thresholds), n_k, n_a, len(limits)), dtype=np.int64)
 
     for detections, ground_truths in dataset:
-        matches = match_image(detections, ground_truths, config)
-        for k in matches.present_classes:
-            for a_idx in range(n_a):
-                for m_idx in range(n_m):
-                    for t_idx in range(n_t):
-                        res = matches.result(k, t_idx, a_idx, m_idx)
-                        if res.verdicts:
-                            verdicts.setdefault((t_idx, k, a_idx, m_idx), []).extend(
-                                (v.confidence, v.is_tp) for v in res.verdicts
-                            )
-            gts = [g for g in strip_padding(ground_truths) if g.class_id == k]
-            for a_idx, (_, area) in enumerate(config.area_ranges):
-                gamma[k, a_idx] += sum(
-                    1 for g in gts if area.contains(box_area(g.box))
-                )
-
-    tp_totals = np.zeros((n_t, n_k, n_a, n_m), dtype=np.int64)
-    for (t_idx, k, a_idx, m_idx), vs in verdicts.items():
-        tp_totals[t_idx, k, a_idx, m_idx] = sum(1 for _, tp in vs if tp)
-
-    m_top = n_m - 1
+        for (k, a_idx), cell in match_image(detections, ground_truths, config).cells.items():
+            gamma[k, a_idx] += cell.gt_count
+            n = len(cell.confidences)
+            if n:
+                # TP count of each limit's prefix, per IoU threshold.
+                prefix_tp = np.cumsum(cell.tp, axis=1)
+                tp_totals[:, k, a_idx] += prefix_tp[:, np.minimum(limits, n) - 1]
+                matches.setdefault((k, a_idx), []).append(cell)
 
     def ap_for(t_idx: int, k: int, a_idx: int) -> float:
-        vs = verdicts.get((t_idx, k, a_idx, m_top), [])
-        if not vs:
+        cells = matches.get((k, a_idx))
+        if not cells:
             return 0.0
-        conf = np.array([c for c, _ in vs])
-        tp = np.array([t for _, t in vs], dtype=float)
-        order = np.argsort(-conf, kind="stable")
-        tpc = np.cumsum(tp[order])
-        fpc = np.cumsum(1.0 - tp[order])
-        recalls = tpc / gamma[k, a_idx]
-        precisions = tpc / (tpc + fpc)
-        return interpolate_ap(recalls, precisions, config.recall_thresholds)
+        conf = np.concatenate([c.confidences for c in cells])
+        tp = np.concatenate([c.tp[t_idx] for c in cells])[np.argsort(-conf, kind="stable")]
+        return cell_ap(np.cumsum(tp), np.cumsum(~tp), int(gamma[k, a_idx]), config.recall_thresholds)
 
-    def mean_ap(t_indices: Sequence[int], area_name: str) -> float:
-        a_idx = config.area_index(area_name)
-        if a_idx is None:
-            return UNDEFINED
-        classes = [k for k in range(n_k) if gamma[k, a_idx] > 0]
-        if not classes:
-            return UNDEFINED
-        vals = [ap_for(t, k, a_idx) for k in classes for t in t_indices]
-        return float(np.mean(vals))
-
-    def mean_recall(area_name: str, max_dets: int) -> float:
-        a_idx = config.area_index(area_name)
-        m_idx = config.max_dets_index(max_dets)
-        if a_idx is None or m_idx is None:
-            return UNDEFINED
-        classes = [k for k in range(n_k) if gamma[k, a_idx] > 0]
-        if not classes:
-            return UNDEFINED
-        vals = [
-            tp_totals[t, k, a_idx, m_idx] / gamma[k, a_idx]
-            for k in classes
-            for t in range(n_t)
-        ]
-        return float(np.mean(vals))
-
-    all_t = list(range(n_t))
-    t50 = config.iou_index(0.5)
-    t75 = config.iou_index(0.75)
-    top_dets = config.max_dets_list[-1]
-
-    return MetricReport(
-        map_standard=mean_ap(all_t, "all"),
-        map_50=mean_ap([t50], "all") if t50 is not None else UNDEFINED,
-        map_75=mean_ap([t75], "all") if t75 is not None else UNDEFINED,
-        map_small=mean_ap(all_t, "small"),
-        map_medium=mean_ap(all_t, "medium"),
-        map_large=mean_ap(all_t, "large"),
-        recall_maxdets_1=mean_recall("all", 1),
-        recall_maxdets_10=mean_recall("all", 10),
-        recall_maxdets_100=mean_recall("all", top_dets),
-        recall_small=mean_recall("small", top_dets),
-        recall_medium=mean_recall("medium", top_dets),
-        recall_large=mean_recall("large", top_dets),
-    )
+    return metric_report(config, gamma, tp_totals, ap_for)

@@ -15,12 +15,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .config import UNDEFINED, ConfigError, EvalConfig, MetricReport
-from .geometry import Detection, GroundTruth, box_area, strip_padding
+from .geometry import Detection, GroundTruth
 from .matching import match_image
 
 
@@ -28,20 +28,22 @@ class MergeError(ValueError):
     """States with differing configs cannot be merged."""
 
 
-def bucket_index(confidence: float, buckets: int) -> int:
+def bucket_index(confidence: float | np.ndarray, buckets: int) -> int | np.ndarray:
     """Histogram bucket for a confidence score; result lies in [0, buckets).
 
     Realizes floor(c * (buckets - delta)) for an infinitesimal delta: exact
     integer products c * buckets land in the bucket below, and c = 1.0 maps
-    to buckets - 1.
+    to buckets - 1. Takes a float (returns an int) or an array of floats
+    (returns an int64 array of the same shape).
     """
     if buckets < 1:
         raise ConfigError(f"buckets must be >= 1, got {buckets}")
-    if not (0.0 <= confidence <= 1.0):
-        raise ValueError(f"confidence outside [0, 1]: {confidence}")
-    if confidence == 0.0:
-        return 0
-    return math.ceil(confidence * buckets) - 1
+    c = np.asarray(confidence, dtype=float)
+    bad = ~((c >= 0.0) & (c <= 1.0))
+    if bad.any():
+        raise ValueError(f"confidence outside [0, 1]: {c[bad].flat[0]}")
+    idx = np.maximum(np.ceil(c * buckets).astype(np.int64) - 1, 0)
+    return int(idx) if idx.ndim == 0 else idx
 
 
 @dataclass
@@ -67,20 +69,30 @@ class BucketedState:
         )
 
 
-def new_state(config: EvalConfig) -> BucketedState:
-    """All-zero state sized by the config grid."""
-    shape = (
+def _array_shapes(config: EvalConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of each state array, in snapshot order."""
+    hist = (
         len(config.iou_thresholds),
         config.num_classes,
         len(config.area_ranges),
         len(config.max_dets_list),
         config.buckets,
     )
+    return {
+        "tp_buckets": hist,
+        "fp_buckets": hist,
+        "gt_counts": (config.num_classes, len(config.area_ranges)),
+    }
+
+
+def new_state(config: EvalConfig) -> BucketedState:
+    """All-zero state sized by the config grid."""
     return BucketedState(
         config=config,
-        tp_buckets=np.zeros(shape, dtype=np.int64),
-        fp_buckets=np.zeros(shape, dtype=np.int64),
-        gt_counts=np.zeros((config.num_classes, len(config.area_ranges)), dtype=np.int64),
+        **{
+            name: np.zeros(shape, dtype=np.int64)
+            for name, shape in _array_shapes(config).items()
+        },
     )
 
 
@@ -94,39 +106,34 @@ def update(
     if any image fails validation or matching, the state is left untouched.
     """
     cfg = state.config
-    n_t = len(cfg.iou_thresholds)
-    n_a = len(cfg.area_ranges)
-    n_m = len(cfg.max_dets_list)
 
     # Stage all increments first so a failing image cannot half-apply.
-    tp_idx: list[tuple[int, int, int, int, int]] = []
-    fp_idx: list[tuple[int, int, int, int, int]] = []
+    # Per detection kept at the largest limit: (class, area, rank in its
+    # cell), confidence, and TP flag per IoU threshold.
+    coords: list[np.ndarray] = []
+    confidences: list[np.ndarray] = []
+    flags: list[np.ndarray] = []
     gt_delta = np.zeros_like(state.gt_counts)
 
     for detections, ground_truths in batch:
-        matches = match_image(detections, ground_truths, cfg)
-        for k in matches.present_classes:
-            for a_idx in range(n_a):
-                for m_idx in range(n_m):
-                    for t_idx in range(n_t):
-                        res = matches.result(k, t_idx, a_idx, m_idx)
-                        for v in res.verdicts:
-                            b = bucket_index(v.confidence, cfg.buckets)
-                            cell = (t_idx, k, a_idx, m_idx, b)
-                            if v.is_tp:
-                                tp_idx.append(cell)
-                            else:
-                                fp_idx.append(cell)
-            gts = [g for g in strip_padding(ground_truths) if g.class_id == k]
-            for a_idx, (_, area) in enumerate(cfg.area_ranges):
-                gt_delta[k, a_idx] += sum(
-                    1 for g in gts if area.contains(box_area(g.box))
-                )
+        for (k, a_idx), cell in match_image(detections, ground_truths, cfg).cells.items():
+            gt_delta[k, a_idx] += cell.gt_count
+            n = len(cell.confidences)
+            coords.append(np.stack([np.full(n, k), np.full(n, a_idx), np.arange(n)]))
+            confidences.append(cell.confidences)
+            flags.append(cell.tp)
 
-    if tp_idx:
-        np.add.at(state.tp_buckets, tuple(np.array(tp_idx).T), 1)
-    if fp_idx:
-        np.add.at(state.fp_buckets, tuple(np.array(fp_idx).T), 1)
+    if coords:
+        k_of, a_of, rank = np.concatenate(coords, axis=1)
+        b_of = bucket_index(np.concatenate(confidences), cfg.buckets)
+        tp = np.concatenate(flags, axis=1)  # (theta, detection)
+        kept = rank < np.array(cfg.max_dets_list)[:, None, None]  # (max-dets, 1, detection)
+        staged = []
+        for hist, hit in ((state.tp_buckets, tp & kept), (state.fp_buckets, ~tp & kept)):
+            m, t, j = np.nonzero(hit)
+            staged.append((hist, (t, k_of[j], a_of[j], m, b_of[j])))
+        for hist, index in staged:
+            np.add.at(hist, index, 1)
     state.gt_counts += gt_delta
     return state
 
@@ -168,23 +175,78 @@ def interpolate_ap(
     return float(total / len(recall_thresholds))
 
 
-def _cell_pr_curve(
-    tp_cell: np.ndarray, fp_cell: np.ndarray, gamma: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Recall/precision per bucket, highest confidence first.
+def cell_ap(
+    tpc: np.ndarray,
+    fpc: np.ndarray,
+    gamma: int,
+    recall_thresholds: Sequence[float],
+) -> float:
+    """AP of one (theta, class, area) cell from its PR curve.
 
-    Suffix-cumulative sums over the bucket axis: entry i counts detections
-    whose bucket index is >= buckets - 1 - i, i.e. the descending-confidence
-    prefix ending at that bucket.
+    tpc / fpc are cumulative TP / FP counts along descending confidence:
+    one point per detection (exact) or per bucket (streaming). Points with
+    no detection yet have precision 0.
     """
-    tpc = np.cumsum(tp_cell[::-1])
-    fpc = np.cumsum(fp_cell[::-1])
     recalls = tpc / gamma
     denom = tpc + fpc
     precisions = np.divide(
-        tpc, denom, out=np.zeros_like(tpc, dtype=float), where=denom > 0
+        tpc, denom, out=np.zeros(len(tpc), dtype=float), where=denom > 0
     )
-    return recalls, precisions
+    return interpolate_ap(recalls, precisions, recall_thresholds)
+
+
+def metric_report(
+    config: EvalConfig,
+    gt_counts: np.ndarray,
+    tp_totals: np.ndarray,
+    ap_for: Callable[[int, int, int], float],
+) -> MetricReport:
+    """Reduce per-cell counts to the 12-metric report.
+
+    gt_counts is (classes, areas); tp_totals is (|Theta|, classes, areas,
+    max-dets); ap_for(t_idx, k, a_idx) is the AP of a cell at the largest
+    max-dets limit. Classes with zero ground truths in a given area range
+    are excluded from the average; if no class qualifies the metric is -1.
+    """
+    all_t = range(len(config.iou_thresholds))
+
+    def mean(
+        area_name: str, value: Callable[[int, int, int], float], t_indices: Sequence[int] = all_t
+    ) -> float:
+        """Mean of value(t_idx, k, a_idx) over t_indices and the classes with
+        ground truth in the area."""
+        a_idx = config.area_index(area_name)
+        if a_idx is None:
+            return UNDEFINED
+        classes = [k for k in range(config.num_classes) if gt_counts[k, a_idx] > 0]
+        if not classes:
+            return UNDEFINED
+        return float(np.mean([value(t, k, a_idx) for k in classes for t in t_indices]))
+
+    def recall(area_name: str, max_dets: int) -> float:
+        m_idx = config.max_dets_index(max_dets)
+        if m_idx is None:
+            return UNDEFINED
+        return mean(area_name, lambda t, k, a_idx: tp_totals[t, k, a_idx, m_idx] / gt_counts[k, a_idx])
+
+    t50 = config.iou_index(0.5)
+    t75 = config.iou_index(0.75)
+    top_dets = config.max_dets_list[-1]
+
+    return MetricReport(
+        map_standard=mean("all", ap_for),
+        map_50=mean("all", ap_for, [t50]) if t50 is not None else UNDEFINED,
+        map_75=mean("all", ap_for, [t75]) if t75 is not None else UNDEFINED,
+        map_small=mean("small", ap_for),
+        map_medium=mean("medium", ap_for),
+        map_large=mean("large", ap_for),
+        recall_maxdets_1=recall("all", 1),
+        recall_maxdets_10=recall("all", 10),
+        recall_maxdets_100=recall("all", top_dets),
+        recall_small=recall("small", top_dets),
+        recall_medium=recall("medium", top_dets),
+        recall_large=recall("large", top_dets),
+    )
 
 
 def finalize(state: BucketedState) -> MetricReport:
@@ -192,70 +254,21 @@ def finalize(state: BucketedState) -> MetricReport:
 
     Recall metrics are exact (total TP over total ground truths); MaP uses
     the bucket-granularity PR curve and is approximate up to bucket width.
-    Classes with zero ground truths in a given area range are excluded from
-    the average; if no class qualifies the metric is -1.
     """
     cfg = state.config
-    n_t = len(cfg.iou_thresholds)
-    n_k = cfg.num_classes
-    gamma = state.gt_counts  # (classes, areas)
-
-    m_top = len(cfg.max_dets_list) - 1  # MaP uses the largest max-dets limit
+    m_top = len(cfg.max_dets_list) - 1  # the largest limit
 
     def ap_for(t_idx: int, k: int, a_idx: int) -> float:
-        recalls, precisions = _cell_pr_curve(
-            state.tp_buckets[t_idx, k, a_idx, m_top],
-            state.fp_buckets[t_idx, k, a_idx, m_top],
-            int(gamma[k, a_idx]),
+        # Suffix sums over the bucket axis: entry i counts detections whose
+        # bucket index is >= buckets - 1 - i.
+        return cell_ap(
+            np.cumsum(state.tp_buckets[t_idx, k, a_idx, m_top, ::-1]),
+            np.cumsum(state.fp_buckets[t_idx, k, a_idx, m_top, ::-1]),
+            int(state.gt_counts[k, a_idx]),
+            cfg.recall_thresholds,
         )
-        return interpolate_ap(recalls, precisions, cfg.recall_thresholds)
 
-    def mean_ap(t_indices: Sequence[int], area_name: str) -> float:
-        a_idx = cfg.area_index(area_name)
-        if a_idx is None:
-            return UNDEFINED
-        classes = [k for k in range(n_k) if gamma[k, a_idx] > 0]
-        if not classes:
-            return UNDEFINED
-        vals = [ap_for(t, k, a_idx) for k in classes for t in t_indices]
-        return float(np.mean(vals))
-
-    tp_totals = state.tp_buckets.sum(axis=-1)  # (T, K, A, M)
-
-    def mean_recall(area_name: str, max_dets: int) -> float:
-        a_idx = cfg.area_index(area_name)
-        m_idx = cfg.max_dets_index(max_dets)
-        if a_idx is None or m_idx is None:
-            return UNDEFINED
-        classes = [k for k in range(n_k) if gamma[k, a_idx] > 0]
-        if not classes:
-            return UNDEFINED
-        vals = [
-            tp_totals[t, k, a_idx, m_idx] / gamma[k, a_idx]
-            for k in classes
-            for t in range(n_t)
-        ]
-        return float(np.mean(vals))
-
-    all_t = list(range(n_t))
-    t50 = cfg.iou_index(0.5)
-    t75 = cfg.iou_index(0.75)
-    top_dets = cfg.max_dets_list[-1]
-
-    return MetricReport(
-        map_standard=mean_ap(all_t, "all"),
-        map_50=mean_ap([t50], "all") if t50 is not None else UNDEFINED,
-        map_75=mean_ap([t75], "all") if t75 is not None else UNDEFINED,
-        map_small=mean_ap(all_t, "small"),
-        map_medium=mean_ap(all_t, "medium"),
-        map_large=mean_ap(all_t, "large"),
-        recall_maxdets_1=mean_recall("all", 1),
-        recall_maxdets_10=mean_recall("all", 10),
-        recall_maxdets_100=mean_recall("all", top_dets),
-        recall_small=mean_recall("small", top_dets),
-        recall_medium=mean_recall("medium", top_dets),
-        recall_large=mean_recall("large", top_dets),
-    )
+    return metric_report(cfg, state.gt_counts, state.tp_buckets.sum(axis=-1), ap_for)
 
 
 # -- state snapshot serialization -----------------------------------------
@@ -268,49 +281,55 @@ _MAGIC = "cocostream-state/1"
 
 
 def save_state(state: BucketedState, fp: BinaryIO) -> None:
-    arrays = [
-        ("tp_buckets", state.tp_buckets),
-        ("fp_buckets", state.fp_buckets),
-        ("gt_counts", state.gt_counts),
-    ]
+    names = list(_array_shapes(state.config))
     header = {
         "format": _MAGIC,
         "config": state.config.to_dict(),
         "arrays": [
-            {"name": name, "shape": list(arr.shape), "dtype": "<i8"}
-            for name, arr in arrays
+            {"name": name, "shape": list(getattr(state, name).shape), "dtype": "<i8"}
+            for name in names
         ],
     }
     fp.write(json.dumps(header, sort_keys=True).encode("utf-8"))
     fp.write(b"\n")
-    for _, arr in arrays:
-        fp.write(np.ascontiguousarray(arr, dtype="<i8").tobytes())
+    for name in names:
+        fp.write(np.ascontiguousarray(getattr(state, name), dtype="<i8").tobytes())
 
 
 def load_state(fp: BinaryIO) -> BucketedState:
+    """Read a snapshot, rejecting any that save_state could not have written."""
     header_line = fp.readline()
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"not a state snapshot: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError("not a state snapshot: header is not a JSON object")
     if header.get("format") != _MAGIC:
         raise ValueError(f"unsupported snapshot format: {header.get('format')!r}")
-    config = EvalConfig.from_dict(header["config"])
+    try:
+        config = EvalConfig.from_dict(header["config"])
+        specs = header["arrays"]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed snapshot header: {exc!r}") from exc
+    shapes = _array_shapes(config)
+    expected = [
+        {"name": name, "shape": list(shape), "dtype": "<i8"} for name, shape in shapes.items()
+    ]
+    if specs != expected:
+        raise ValueError(
+            f"snapshot arrays do not match its config: expected {expected}, got {specs}"
+        )
     arrays = {}
-    for spec in header["arrays"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for name, shape in shapes.items():
+        count = math.prod(shape)
         buf = fp.read(count * 8)
         if len(buf) != count * 8:
-            raise ValueError(f"truncated snapshot while reading {spec['name']}")
-        arrays[spec["name"]] = np.frombuffer(buf, dtype="<i8").reshape(shape).astype(np.int64)
-    state = BucketedState(
-        config=config,
-        tp_buckets=arrays["tp_buckets"],
-        fp_buckets=arrays["fp_buckets"],
-        gt_counts=arrays["gt_counts"],
-    )
-    expected = new_state(config)
-    if state.tp_buckets.shape != expected.tp_buckets.shape:
-        raise ValueError("snapshot array shape does not match its config")
-    return state
+            raise ValueError(f"truncated snapshot while reading {name}")
+        arr = np.frombuffer(buf, dtype="<i8").reshape(shape).astype(np.int64)
+        if arr.size and arr.min() < 0:
+            raise ValueError(f"negative counter in snapshot array {name}")
+        arrays[name] = arr
+    if fp.read(1):
+        raise ValueError("trailing bytes after snapshot arrays")
+    return BucketedState(config=config, **arrays)

@@ -184,3 +184,39 @@ class TestSynthBench:
         assert set(doc) == {"images", "annotations", "categories"}
         rows = json.loads((emit_dir / "n4_run0_detections.json").read_text())
         assert all(set(r) == {"image_id", "category_id", "bbox", "score"} for r in rows)
+
+
+class TestBadInputExitsCleanly:
+    """Bad input ends in exit code 2 and a one-line error, never a traceback."""
+
+    def test_decreasing_max_dets(self, golden_paths, capsys):
+        gt, det = golden_paths
+        assert run_cli("evaluate", gt, det, "--max-dets", "100,10,1") == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "max_dets_list" in err
+        assert "Traceback" not in err
+
+    def test_detection_missing_bbox(self, golden_paths, tmp_path, capsys):
+        gt, det = golden_paths
+        rows = json.loads(det.read_text())
+        del rows[1]["bbox"]
+        bad = tmp_path / "det.json"
+        bad.write_text(json.dumps(rows))
+        assert run_cli("evaluate", gt, bad) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "results[1]: missing 'bbox'" in err
+        assert "Traceback" not in err
+
+    def test_merge_snapshot_without_arrays(self, golden_paths, tmp_path, capsys):
+        gt, det = golden_paths
+        good = tmp_path / "good.state"
+        assert run_cli("evaluate", gt, det, "--output", tmp_path / "r.txt", "--state-out", good) == 0
+        header, body = good.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        del doc["arrays"]
+        bad = tmp_path / "bad.state"
+        bad.write_bytes(json.dumps(doc).encode() + b"\n" + body)
+        assert run_cli("merge", good, bad, "--output", tmp_path / "m.state") == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "malformed snapshot header" in err
+        assert "Traceback" not in err

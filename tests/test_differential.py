@@ -1,0 +1,105 @@
+"""Differential tests of the columnar matching and bucketing path against the
+scalar references: match_image_class per grid cell and bucket_index per
+confidence.
+
+Max-dets limits are drawn from 1-6, so prefixes of the single match at the
+largest limit really get cut; small integer boxes and a few repeated
+confidences produce IoU and confidence ties.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cocostream import (
+    BoundingBox,
+    Detection,
+    EvalConfig,
+    GroundTruth,
+    bucket_index,
+    match_image_class,
+    new_state,
+    update,
+)
+from cocostream.matching import match_image
+
+NUM_CLASSES = 2
+
+confidences = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def boxes(draw):
+    # Sides up to 40 cover the small (< 32^2) and medium default area ranges.
+    left, top = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    w, h = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    return BoundingBox(float(left), float(top), float(left + w), float(top + h))
+
+
+classes = st.integers(-1, NUM_CLASSES - 1)  # -1 is padding
+detections = st.builds(Detection, boxes(), classes, confidences)
+ground_truths = st.builds(GroundTruth, boxes(), classes)
+images = st.tuples(
+    st.lists(detections, max_size=8), st.lists(ground_truths, max_size=6)
+)
+configs = st.builds(
+    EvalConfig,
+    num_classes=st.just(NUM_CLASSES),
+    iou_thresholds=st.sampled_from([(0.5,), (0.3, 0.5, 0.7), (0.1, 0.75, 1.0)]),
+    buckets=st.integers(1, 12),
+    max_dets_list=st.lists(st.integers(1, 6), min_size=1, max_size=3, unique=True).map(
+        lambda ms: tuple(sorted(ms))
+    ),
+)
+
+
+def _class_inputs(dets, gts, k):
+    return [d for d in dets if d.class_id == k], [g for g in gts if g.class_id == k]
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=configs, image=images)
+def test_match_image_cells_equal_reference(config, image):
+    dets, gts = image
+    matches = match_image(dets, gts, config)
+    for k in range(NUM_CLASSES):
+        k_dets, k_gts = _class_inputs(dets, gts, k)
+        for t_idx, theta in enumerate(config.iou_thresholds):
+            for a_idx, (_, area) in enumerate(config.area_ranges):
+                for m_idx, max_dets in enumerate(config.max_dets_list):
+                    want = match_image_class(k_dets, k_gts, theta, max_dets, area)
+                    assert matches.result(k, t_idx, a_idx, m_idx) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=configs, batch=st.lists(images, max_size=3))
+def test_update_equals_scalar_reference(config, batch):
+    want = new_state(config)
+    for dets, gts in batch:
+        for k in range(NUM_CLASSES):
+            k_dets, k_gts = _class_inputs(dets, gts, k)
+            for t_idx, theta in enumerate(config.iou_thresholds):
+                for a_idx, (_, area) in enumerate(config.area_ranges):
+                    for m_idx, max_dets in enumerate(config.max_dets_list):
+                        res = match_image_class(k_dets, k_gts, theta, max_dets, area)
+                        for v in res.verdicts:
+                            hist = want.tp_buckets if v.is_tp else want.fp_buckets
+                            hist[t_idx, k, a_idx, m_idx, bucket_index(v.confidence, config.buckets)] += 1
+                    if t_idx == 0:
+                        want.gt_counts[k, a_idx] += res.gt_count
+
+    got = update(new_state(config), batch)
+    np.testing.assert_array_equal(got.tp_buckets, want.tp_buckets)
+    np.testing.assert_array_equal(got.fp_buckets, want.fp_buckets)
+    np.testing.assert_array_equal(got.gt_counts, want.gt_counts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(confidences, max_size=20),
+    buckets=st.one_of(st.integers(1, 12), st.just(10000)),
+)
+def test_array_bucket_index_equals_scalar(values, buckets):
+    got = bucket_index(np.array(values, dtype=float), buckets)
+    assert got.shape == (len(values),)
+    assert got.tolist() == [bucket_index(c, buckets) for c in values]

@@ -192,3 +192,78 @@ class TestPerturb:
             PerturbationParams(translate_fraction=1.0)
         with pytest.raises(ValidationError):
             PerturbationParams(scale_low=1.2, scale_high=0.8)
+
+
+def valid_annotation_doc():
+    return minimal_doc(
+        [{"id": 1, "image_id": 1, "category_id": 3, "bbox": [0, 0, 1, 1]}]
+    )
+
+
+def valid_results():
+    return [{"image_id": 1, "category_id": 3, "bbox": [0, 0, 1, 1], "score": 0.5}]
+
+
+class TestErrorsNameLocation:
+    """Missing keys, non-numeric values and unknown ids name the offending entry."""
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("images", "id"),
+            ("categories", "id"),
+            ("annotations", "image_id"),
+            ("annotations", "category_id"),
+            ("annotations", "bbox"),
+        ],
+    )
+    def test_annotation_document_missing_key(self, section, key):
+        doc = valid_annotation_doc()
+        del doc[section][0][key]
+        with pytest.raises(ParseError, match=rf"{section}\[0\]: missing '{key}'"):
+            load_ground_truth(doc)
+
+    @pytest.mark.parametrize("key", ["image_id", "category_id", "bbox", "score"])
+    def test_results_missing_key(self, key):
+        rows = valid_results()
+        del rows[0][key]
+        with pytest.raises(ParseError, match=rf"results\[0\]: missing '{key}'"):
+            load_detections(rows, load_ground_truth(minimal_doc()))
+
+    @pytest.mark.parametrize(
+        "section, key", [("images", "id"), ("categories", "id"), ("annotations", "image_id")]
+    )
+    def test_annotation_document_non_numeric_id(self, section, key):
+        doc = valid_annotation_doc()
+        doc[section][0][key] = "one"
+        with pytest.raises(ParseError, match=rf"{section}\[0\]: '{key}' is not a number"):
+            load_ground_truth(doc)
+
+    @pytest.mark.parametrize("key", ["image_id", "category_id", "score"])
+    def test_results_non_numeric_value(self, key):
+        rows = valid_results()
+        rows[0][key] = "one"
+        with pytest.raises(ParseError, match=rf"results\[0\]: '{key}' is not a number"):
+            load_detections(rows, load_ground_truth(minimal_doc()))
+
+    def test_non_numeric_bbox_entry(self):
+        rows = valid_results()
+        rows[0]["bbox"] = [0, "x", 1, 1]
+        with pytest.raises(ParseError, match=r"results\[0\]: bbox entries must be numbers"):
+            load_detections(rows, load_ground_truth(minimal_doc()))
+
+    def test_entry_not_an_object(self):
+        with pytest.raises(ParseError, match=r"results\[0\]: expected an object"):
+            load_detections([[1, 3]], load_ground_truth(minimal_doc()))
+
+    def test_results_unknown_category(self):
+        rows = valid_results()
+        rows[0]["category_id"] = 5
+        with pytest.raises(ValidationError, match=r"results\[0\]: unknown category id 5"):
+            load_detections(rows, load_ground_truth(minimal_doc()))
+
+    def test_non_finite_box_names_location(self):
+        doc = valid_annotation_doc()
+        doc["annotations"][0]["bbox"] = [0, 0, float("inf"), 1]
+        with pytest.raises(ValidationError, match=r"annotations\[0\]"):
+            load_ground_truth(doc)

@@ -1,9 +1,12 @@
 import io
+import json
+import math
 
 import numpy as np
 import pytest
 
 from cocostream import (
+    AreaRange,
     ConfigError,
     EvalConfig,
     MergeError,
@@ -243,3 +246,73 @@ class TestSnapshot:
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):
             load_state(io.BytesIO(b"\x00\x01\x02 not a snapshot\n"))
+
+
+def test_max_dets_must_increase():
+    # the last limit is read as the largest; (100, 10, 1) used to score a
+    # perfect image at MaP 0.505
+    for limits in ((100, 10, 1), (1, 10, 10), (10, 1)):
+        with pytest.raises(ConfigError, match="max_dets_list"):
+            EvalConfig(num_classes=1, max_dets_list=limits)
+
+
+class TestLoadStateRejects:
+    """load_state accepts only what save_state could have written."""
+
+    CONFIG = EvalConfig(
+        num_classes=1,
+        buckets=4,
+        iou_thresholds=(0.5,),
+        max_dets_list=(10,),
+        area_ranges=(("all", AreaRange(0.0, math.inf)),),
+    )
+
+    def snapshot(self, state=None) -> tuple[dict, bytes]:
+        buf = io.BytesIO()
+        save_state(state or update(new_state(self.CONFIG), [([make_det()], [make_gt()])]), buf)
+        header, body = buf.getvalue().split(b"\n", 1)
+        return json.loads(header), body
+
+    def load(self, header: dict, body: bytes):
+        return load_state(io.BytesIO(json.dumps(header).encode() + b"\n" + body))
+
+    def test_trailing_bytes(self):
+        header, body = self.snapshot()
+        with pytest.raises(ValueError, match="trailing"):
+            self.load(header, body + b"\x00")
+
+    def test_array_shape_not_matching_config(self):
+        header, body = self.snapshot()
+        header["arrays"][2]["shape"] = [1, 2]  # gt_counts is (1, 1)
+        with pytest.raises(ValueError, match="do not match"):
+            self.load(header, body + bytes(8))
+
+    def test_array_name_not_matching_config(self):
+        header, body = self.snapshot()
+        header["arrays"][0]["name"] = "fp_buckets"
+        with pytest.raises(ValueError, match="do not match"):
+            self.load(header, body)
+
+    def test_negative_counter(self):
+        state = new_state(self.CONFIG)
+        state.gt_counts[0, 0] = -1
+        header, body = self.snapshot(state)
+        with pytest.raises(ValueError, match="negative counter in snapshot array gt_counts"):
+            self.load(header, body)
+
+    @pytest.mark.parametrize("key", ["arrays", "config"])
+    def test_missing_header_key(self, key):
+        header, body = self.snapshot()
+        del header[key]
+        with pytest.raises(ValueError, match="malformed snapshot header"):
+            self.load(header, body)
+
+    def test_malformed_config(self):
+        header, body = self.snapshot()
+        del header["config"]["num_classes"]
+        with pytest.raises(ValueError, match="malformed snapshot header"):
+            self.load(header, body)
+
+    def test_header_not_an_object(self):
+        with pytest.raises(ValueError, match="not a JSON object"):
+            load_state(io.BytesIO(b"[1, 2]\n"))
