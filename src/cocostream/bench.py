@@ -1,9 +1,10 @@
 """Synthetic perturbation benchmark: streaming vs. exact error margins.
 
 For each requested image count, the ground-truth pool is sampled, each
-ground truth is jittered into a synthetic prediction, and both evaluation
-paths run on the result. Repeating with fresh seeds yields per-metric
-absolute-error distributions summarized as min/max/mean/std.
+ground truth is jittered into a synthetic prediction, and each image is
+matched once; both evaluation paths reduce that one match. Repeating with
+fresh seeds yields per-metric absolute-error distributions summarized as
+min/max/mean/std.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import numpy as np
 
 from .config import METRIC_NAMES, UNDEFINED, EvalConfig
 from .ingest import Dataset, PerturbationParams, perturb, sample_images
-from .oracle import evaluate_exact
-from .streaming import finalize, new_state, update
+from .matching import match_batch
+from .oracle import exact_report
+from .streaming import add_matches, finalize, new_state
 
 
 @dataclass(frozen=True)
@@ -80,11 +82,9 @@ def run_synth_bench(
     runs = synthetic_runs(ground_truth, image_counts, repeats, seed, params or PerturbationParams())
     rows: list[ErrorMarginRow] = []
     for n, run, _, synthetic in runs:
-        pairs = synthetic.pairs()
-        streaming_report = finalize(update(new_state(config), pairs))
-        exact_report = evaluate_exact(pairs, config)
-        sd = streaming_report.as_dict()
-        ed = exact_report.as_dict()
+        matches = match_batch(synthetic.pairs(), config)
+        sd = finalize(add_matches(new_state(config), matches)).as_dict()
+        ed = exact_report(matches).as_dict()
         for name in METRIC_NAMES:
             sv, ev = sd[name], ed[name]
             defined = sv != UNDEFINED and ev != UNDEFINED

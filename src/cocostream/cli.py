@@ -42,56 +42,65 @@ ROW_COLUMNS = (
 SUMMARY_COLUMNS = ("metric_name", "n_runs", "min_error", "max_error", "mean_error", "std_error")
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+def _flag_type(parse):
+    """An argparse type= callable: a ValueError from parse is printed after
+    the flag's name, and the command exits with code 2."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+    return convert
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+def _list(text: str, kind=float) -> tuple:
+    values = tuple(kind(v) for v in text.split(",") if v.strip())
+    if not values:
+        raise ValueError("expected a comma-separated list")
+    return values
 
 
-def _parse_area_ranges(text: str) -> tuple[tuple[str, AreaRange], ...]:
-    """Parse 'name:min:max,...'; an empty max means unbounded."""
-    out = []
-    for part in text.split(","):
-        name, lo, hi = part.split(":")
-        out.append(
-            (name, AreaRange(float(lo), math.inf if hi == "" else float(hi)))
-        )
-    return tuple(out)
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"must be >= 1, got {n}")
+    return n
+
+
+def _area_range(text: str) -> tuple[str, AreaRange]:
+    """Parse 'name:min:max'; an empty max means unbounded."""
+    if text.count(":") != 2:
+        raise ValueError(f"expected name:min:max, got {text!r}")
+    name, lo, hi = text.split(":")
+    return name, AreaRange(float(lo), math.inf if hi == "" else float(hi))
 
 
 def _build_config(args: argparse.Namespace, num_classes: int) -> EvalConfig:
-    kwargs: dict = {"num_classes": num_classes}
-    if args.buckets is not None:
-        kwargs["buckets"] = args.buckets
-    if args.iou_thresholds is not None:
-        kwargs["iou_thresholds"] = _parse_float_list(args.iou_thresholds)
-    if args.recall_thresholds is not None:
-        kwargs["recall_thresholds"] = _parse_float_list(args.recall_thresholds)
-    if args.max_dets is not None:
-        kwargs["max_dets_list"] = _parse_int_list(args.max_dets)
-    if args.area_ranges is not None:
-        kwargs["area_ranges"] = _parse_area_ranges(args.area_ranges)
-    return EvalConfig(**kwargs)
+    flags = ("buckets", "iou_thresholds", "recall_thresholds", "max_dets_list", "area_ranges")
+    overrides = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
+    return EvalConfig(num_classes=num_classes, **overrides)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--buckets", type=int, default=None, help="confidence buckets (default 10000)")
     p.add_argument(
-        "--iou-thresholds", default=None, metavar="T1,T2,...",
+        "--iou-thresholds", type=_flag_type(_list), default=None, metavar="T1,T2,...",
         help="comma-separated IoU thresholds (default 0.50:0.05:0.95)",
     )
     p.add_argument(
-        "--recall-thresholds", default=None, metavar="R1,R2,...",
+        "--recall-thresholds", type=_flag_type(_list), default=None, metavar="R1,R2,...",
         help="comma-separated recall thresholds (default 0.00:0.01:1.00)",
     )
     p.add_argument(
-        "--max-dets", default=None, metavar="M1,M2,...",
+        "--max-dets", type=_flag_type(lambda t: _list(t, int)), default=None,
+        dest="max_dets_list", metavar="M1,M2,...",
         help="comma-separated max-detection limits (default 1,10,100)",
     )
     p.add_argument(
-        "--area-ranges", default=None, metavar="name:min:max,...",
+        "--area-ranges", type=_flag_type(lambda t: _list(t, _area_range)), default=None,
+        metavar="name:min:max,...",
         help="area ranges as name:min:max (empty max = unbounded); "
         "default all/small/medium/large COCO ranges",
     )
@@ -163,11 +172,10 @@ def _cmd_synth_bench(args: argparse.Namespace) -> int:
         scale_high=args.scale_high,
         seed=args.seed,
     )
-    image_counts = _parse_int_list(args.image_counts)
     rows = run_synth_bench(
         gt,
         config,
-        image_counts=image_counts,
+        image_counts=args.image_counts,
         repeats=args.repeats,
         seed=args.seed,
         params=params,
@@ -176,7 +184,7 @@ def _cmd_synth_bench(args: argparse.Namespace) -> int:
     if args.emit_json:
         emit_dir = Path(args.emit_json)
         emit_dir.mkdir(parents=True, exist_ok=True)
-        _emit_interchange(gt, params, image_counts, args.repeats, args.seed, emit_dir)
+        _emit_interchange(gt, params, args.image_counts, args.repeats, args.seed, emit_dir)
 
     out = open(args.output, "w", newline="") if args.output else sys.stdout
     try:
@@ -269,10 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("ground_truth", help="annotation JSON to sample from")
     p_bench.add_argument(
-        "--image-counts", required=True, metavar="N1,N2,...",
+        "--image-counts", type=_flag_type(lambda t: _list(t, _count)), required=True,
+        metavar="N1,N2,...",
         help="comma-separated image counts to benchmark",
     )
-    p_bench.add_argument("--repeats", type=int, default=10)
+    p_bench.add_argument("--repeats", type=_flag_type(_count), default=10)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--translate-fraction", type=float, default=0.2)
     p_bench.add_argument("--scale-low", type=float, default=0.8)

@@ -9,6 +9,7 @@ on load and category ids are remapped to contiguous class indices.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Union
@@ -46,12 +47,6 @@ class Dataset:
     @property
     def num_classes(self) -> int:
         return len(self.category_ids)
-
-    def class_index(self, category_id: int) -> int:
-        try:
-            return self.category_ids.index(category_id)
-        except ValueError:
-            raise ValidationError(f"unknown category id: {category_id}") from None
 
     def pairs(self) -> list[tuple[tuple[Detection, ...], tuple[GroundTruth, ...]]]:
         return [(rec.detections, rec.ground_truths) for rec in self.images]
@@ -98,13 +93,30 @@ def _field(entry: object, key: str, where: str) -> object:
     return entry[key]
 
 
-def _number(entry: object, key: str, kind: type, where: str):
-    """entry[key] converted by kind (int or float), or a ParseError naming where."""
+_INTEGERS = (int, np.integer)
+
+
+def _is_number(value: object) -> bool:
+    """A real number a float can hold; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (float, np.floating, *_INTEGERS)):
+        return False
+    return not isinstance(value, _INTEGERS) or abs(value) <= sys.float_info.max
+
+
+def _number(entry: object, key: str, where: str) -> int | float:
+    """entry[key] if it is a JSON number, or a ParseError naming where."""
     value = _field(entry, key, where)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{where}: '{key}' is not a number: {value!r}") from None
+    if not _is_number(value):
+        raise ParseError(f"{where}: '{key}' is not a number: {value!r}")
+    return value
+
+
+def _id(entry: object, key: str, where: str) -> int:
+    """entry[key] if it is a number of integral value, or a ParseError naming where."""
+    value = _number(entry, key, where)
+    if not isinstance(value, _INTEGERS) and not float(value).is_integer():
+        raise ParseError(f"{where}: '{key}' is not an integer: {value!r}")
+    return int(value)
 
 
 def _corner_box(entry: object, where: str) -> BoundingBox:
@@ -113,10 +125,9 @@ def _corner_box(entry: object, where: str) -> BoundingBox:
         raise ParseError(f"{where}: bbox must be a list, got {type(bbox).__name__}")
     if len(bbox) != 4:
         raise ParseError(f"{where}: bbox must have 4 entries, got {len(bbox)}")
-    try:
-        x, y, w, h = (float(v) for v in bbox)
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: bbox entries must be numbers, got {bbox!r}") from None
+    if not all(_is_number(v) for v in bbox):
+        raise ParseError(f"{where}: bbox entries must be numbers, got {bbox!r}")
+    x, y, w, h = (float(v) for v in bbox)
     if w < 0 or h < 0:
         raise ValidationError(f"{where}: negative box size ({w} x {h})")
     try:
@@ -133,7 +144,7 @@ def load_ground_truth(source: Source) -> Dataset:
             raise ParseError(f"annotation document missing '{section}' section")
 
     category_ids = tuple(
-        sorted(_number(c, "id", int, f"categories[{i}]") for i, c in enumerate(doc["categories"]))
+        sorted(_id(c, "id", f"categories[{i}]") for i, c in enumerate(doc["categories"]))
     )
     if len(set(category_ids)) != len(category_ids):
         raise ParseError(f"duplicate category ids: {category_ids}")
@@ -142,7 +153,7 @@ def load_ground_truth(source: Source) -> Dataset:
     gts_by_image: dict[int, list[GroundTruth]] = {}
     image_order = []
     for i, img in enumerate(doc["images"]):
-        image_id = _number(img, "id", int, f"images[{i}]")
+        image_id = _id(img, "id", f"images[{i}]")
         if image_id in gts_by_image:
             raise ParseError(f"duplicate image id: {image_id}")
         gts_by_image[image_id] = []
@@ -150,10 +161,10 @@ def load_ground_truth(source: Source) -> Dataset:
 
     for i, ann in enumerate(doc["annotations"]):
         where = f"annotations[{i}]"
-        image_id = _number(ann, "image_id", int, where)
+        image_id = _id(ann, "image_id", where)
         if image_id not in gts_by_image:
             raise ValidationError(f"{where}: unknown image id {image_id}")
-        cat = _number(ann, "category_id", int, where)
+        cat = _id(ann, "category_id", where)
         if cat not in index_of:
             raise ValidationError(f"{where}: unknown category id {cat}")
         box = _corner_box(ann, where)
@@ -175,23 +186,21 @@ def load_detections(source: Source, base: Dataset) -> Dataset:
         else:
             raise ParseError("results document must be a JSON list")
 
-    by_image = {rec.image_id: i for i, rec in enumerate(base.images)}
+    index_of = {cid: i for i, cid in enumerate(base.category_ids)}
     dets: dict[int, list[Detection]] = {rec.image_id: [] for rec in base.images}
     for i, row in enumerate(doc):
         where = f"results[{i}]"
-        image_id = _number(row, "image_id", int, where)
-        if image_id not in by_image:
+        image_id = _id(row, "image_id", where)
+        if image_id not in dets:
             raise ValidationError(f"{where}: unknown image id {image_id}")
-        score = _number(row, "score", float, where)
+        score = float(_number(row, "score", where))
         if not (0.0 <= score <= 1.0):
             raise ValidationError(f"{where}: score outside [0, 1]: {score}")
-        cat = _number(row, "category_id", int, where)
-        if cat not in base.category_ids:
+        cat = _id(row, "category_id", where)
+        if cat not in index_of:
             raise ValidationError(f"{where}: unknown category id {cat}")
         box = _corner_box(row, where)
-        dets[image_id].append(
-            Detection(box=box, class_id=base.class_index(cat), confidence=score)
-        )
+        dets[image_id].append(Detection(box=box, class_id=index_of[cat], confidence=score))
 
     images = tuple(
         replace(rec, detections=tuple(dets[rec.image_id])) for rec in base.images

@@ -7,16 +7,16 @@ positive. Area filtering removes both detections and ground truths before
 matching, and max-dets truncation happens after area filtering.
 
 match_image_class is the scalar reference for one grid cell. match_image
-serves both evaluation paths: per (class, area) it matches once, at the
-largest max-dets limit, and returns numpy arrays; each smaller limit is a
-prefix of that match, since greedy matching never revisits an earlier
-detection.
+and match_batch serve both evaluation paths: per (class, area) one greedy
+pass at the largest max-dets limit decides every IoU threshold, and the
+result is one columnar Matches record. Each smaller limit is a prefix of
+that match, since greedy matching never revisits an earlier detection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,8 +45,6 @@ class MatchResult:
     verdicts: tuple[Verdict, ...]
     gt_count: int
 
-
-EMPTY_MATCH = MatchResult(verdicts=(), gt_count=0)
 
 
 def match_image_class(
@@ -93,63 +91,55 @@ def match_image_class(
 
 
 @dataclass(frozen=True)
-class CellMatches:
-    """One image's detections for one (class, area) cell, matched once.
+class Matches:
+    """Matched detections as columns, one per detection kept at the largest
+    max-dets limit, in image order and, per image, (class, area, rank) order.
 
-    Matching runs at the largest max-dets limit only; because greedy
-    matching is prefix-stable, a smaller limit m is read as the first m
-    columns.
-    """
-
-    confidences: np.ndarray  # (n,) descending, stable on ties
-    tp: np.ndarray  # (|Theta|, n) bool, one row per IoU threshold
-    gt_count: int  # ground truths in the area range
-
-
-@dataclass(frozen=True)
-class ImageMatches:
-    """Matches for one image, one CellMatches per present (class, area).
-
-    Classes absent from both inputs have no cells and read as EMPTY_MATCH.
+    Greedy matching is prefix-stable, so a smaller limit m keeps the
+    columns with rank < m; kept_verdicts is the only place that rule lives.
     """
 
     config: EvalConfig
-    cells: dict[tuple[int, int], CellMatches]
-    present_classes: tuple[int, ...]
+    cls: np.ndarray  # (n,) class index
+    area: np.ndarray  # (n,) area-range index
+    rank: np.ndarray  # (n,) rank in its image's (class, area) cell
+    confidences: np.ndarray  # (n,)
+    tp: np.ndarray  # (|Theta|, n) bool, one row per IoU threshold
+    gt_counts: np.ndarray  # (classes, areas) ground truths in each area range
 
-    def result(self, class_id: int, iou_idx: int, area_idx: int, maxdets_idx: int) -> MatchResult:
-        """The verdicts of one grid cell: a prefix of the (class, area) match."""
-        cfg = self.config
-        if not (0 <= class_id < cfg.num_classes):
-            raise MatchingError(f"class id {class_id} outside [0, {cfg.num_classes})")
-        if not (0 <= iou_idx < len(cfg.iou_thresholds)):
-            raise IndexError(f"iou index {iou_idx} out of range")
-        if not (0 <= area_idx < len(cfg.area_ranges)):
-            raise IndexError(f"area index {area_idx} out of range")
-        if not (0 <= maxdets_idx < len(cfg.max_dets_list)):
-            raise IndexError(f"max-dets index {maxdets_idx} out of range")
-        cell = self.cells.get((class_id, area_idx))
-        if cell is None:
-            return EMPTY_MATCH
-        m = cfg.max_dets_list[maxdets_idx]
-        verdicts = tuple(
-            Verdict(float(c), bool(f))
-            for c, f in zip(cell.confidences[:m], cell.tp[iou_idx, :m])
-        )
-        return MatchResult(verdicts=verdicts, gt_count=cell.gt_count)
+    def kept_verdicts(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """(theta, class, area, max-dets, column) index arrays of every TP
+        verdict and of every FP verdict that a max-dets limit keeps."""
+        kept = self.rank < np.array(self.config.max_dets_list)[:, None, None]
+        index = []
+        for hit in (self.tp & kept, ~self.tp & kept):
+            m, t, j = np.nonzero(hit)  # hit is (max-dets, theta, column)
+            index.append((t, self.cls[j], self.area[j], m, j))
+        return index[0], index[1]
+
+
+def _join(config: EvalConfig, gt_counts: np.ndarray, blocks: Sequence[tuple]) -> Matches:
+    """One record from (cls, area, rank, confidences, tp) column blocks, in order."""
+    empty = (np.zeros(0, dtype=np.int64),) * 3 + (
+        np.zeros(0),
+        np.zeros((len(config.iou_thresholds), 0), dtype=bool),
+    )
+    columns = [np.concatenate(column, axis=-1) for column in zip(empty, *blocks)]
+    return Matches(config, *columns, gt_counts)
 
 
 def match_image(
     detections: Sequence[Detection],
     ground_truths: Sequence[GroundTruth],
     config: EvalConfig,
-) -> ImageMatches:
+) -> Matches:
     """Match one image over every present (class, area) cell.
 
     Padding entries are stripped internally. Class ids must lie in
     [0, config.num_classes) after stripping. Equivalent, cell by cell, to
     match_image_class (asserted by tests); the IoU matrix is computed once
-    per class, and greedy matching runs once per (class, area, theta).
+    per class, and one greedy pass per (class, area) serves every IoU
+    threshold.
     """
     dets_by_class: dict[int, list[Detection]] = {}
     for d in strip_padding(detections):
@@ -158,10 +148,11 @@ def match_image(
     for g in strip_padding(ground_truths):
         gts_by_class.setdefault(g.class_id, []).append(g)
 
-    present = sorted(set(dets_by_class) | set(gts_by_class))
     top = config.max_dets_list[-1]
-    cells: dict[tuple[int, int], CellMatches] = {}
-    for k in present:
+    thetas = np.array(config.iou_thresholds)
+    gt_counts = np.zeros((config.num_classes, len(config.area_ranges)), dtype=np.int64)
+    blocks = []
+    for k in sorted(set(dets_by_class) | set(gts_by_class)):
         if not (0 <= k < config.num_classes):
             raise MatchingError(f"class id {k} outside [0, {config.num_classes})")
         dets = sorted(dets_by_class.get(k, []), key=lambda d: -d.confidence)
@@ -178,12 +169,31 @@ def match_image(
             cols = np.nonzero(
                 (gt_areas >= area.min_area) & (gt_areas < area.max_area)
             )[0]
-            sub = ious[np.ix_(rows, cols)]
-            tp = np.zeros((len(config.iou_thresholds), len(rows)), dtype=bool)
-            for t_idx, theta in enumerate(config.iou_thresholds):
-                tp[t_idx] = _greedy_tp_flags(sub, theta)
-            cells[(k, a_idx)] = CellMatches(confs[rows], tp, len(cols))
-    return ImageMatches(config=config, cells=cells, present_classes=tuple(present))
+            gt_counts[k, a_idx] = len(cols)
+            n = len(rows)
+            blocks.append((
+                np.full(n, k, dtype=np.int64),
+                np.full(n, a_idx, dtype=np.int64),
+                np.arange(n, dtype=np.int64),
+                confs[rows],
+                _greedy_tp(ious[np.ix_(rows, cols)], thetas),
+            ))
+    return _join(config, gt_counts, blocks)
+
+
+def match_batch(
+    pairs: Iterable[tuple[Sequence[Detection], Sequence[GroundTruth]]],
+    config: EvalConfig,
+) -> Matches:
+    """match_image per (detections, ground_truths) pair, joined in batch order."""
+    records = [match_image(dets, gts, config) for dets, gts in pairs]
+    gt_counts = sum(
+        (r.gt_counts for r in records),
+        np.zeros((config.num_classes, len(config.area_ranges)), dtype=np.int64),
+    )
+    return _join(
+        config, gt_counts, [(r.cls, r.area, r.rank, r.confidences, r.tp) for r in records]
+    )
 
 
 def _box_array(items: Sequence[Detection] | Sequence[GroundTruth]) -> np.ndarray:
@@ -210,16 +220,19 @@ def _iou_matrix(db: np.ndarray, gb: np.ndarray) -> np.ndarray:
     return out
 
 
-def _greedy_tp_flags(ious: np.ndarray, theta: float) -> np.ndarray:
-    """Greedy assignment over a (dets x gts) IoU matrix, rows in match order."""
+def _greedy_tp(ious: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """(|Theta|, n_det) TP flags from one greedy pass over a (dets x gts) IoU
+    matrix, rows in match order, with one set of taken gts per threshold."""
     n_det, n_gt = ious.shape
-    flags = np.zeros(n_det, dtype=bool)
+    tp = np.zeros((len(thetas), n_det), dtype=bool)
     if n_gt == 0:
-        return flags
-    avail = ious.copy()
+        return tp
+    taken = np.zeros((len(thetas), n_gt), dtype=bool)
+    per_theta = np.arange(len(thetas))
     for r in range(n_det):
-        j = int(np.argmax(avail[r]))  # first max: lowest gt index wins ties
-        if avail[r, j] >= theta:
-            avail[:, j] = -1.0
-            flags[r] = True
-    return flags
+        avail = np.where(taken, -1.0, ious[r])
+        j = np.argmax(avail, axis=1)  # first max: lowest gt index wins ties
+        hit = avail[per_theta, j] >= thetas
+        taken[per_theta[hit], j[hit]] = True
+        tp[:, r] = hit
+    return tp

@@ -1,11 +1,11 @@
 """Exact reference evaluation via the global sort-by-confidence procedure.
 
-Keeps every image's (class, area) match at the largest max-dets limit (the
-variable-size state the streaming module avoids), sorts each cell's
+Keeps every matched detection at the largest max-dets limit (the
+variable-size record the streaming module avoids), sorts each cell's
 detections globally by confidence, and walks descending-confidence prefixes
-to build the exact precision-recall curve. Matching and the 12-metric
-reducer are shared with the streaming path, so any difference between the
-two is pure bucketing error.
+to build the exact precision-recall curve. Matching, the max-dets rule and
+the 12-metric reducer are shared with the streaming path, so any difference
+between the two is pure bucketing error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import EvalConfig, MetricReport
 from .geometry import Detection, GroundTruth
-from .matching import CellMatches, match_image
+from .matching import Matches, match_batch
 from .streaming import cell_ap, metric_report
 
 
@@ -25,32 +25,33 @@ def evaluate_exact(
     config: EvalConfig,
 ) -> MetricReport:
     """Exact 12-metric report over an in-memory dataset."""
-    n_k = config.num_classes
+    return exact_report(match_batch(dataset, config))
+
+
+def exact_report(matches: Matches) -> MetricReport:
+    """Exact 12-metric report from a matched dataset."""
+    config = matches.config
     n_a = len(config.area_ranges)
-    limits = np.array(config.max_dets_list)
+    tp_totals = np.zeros(
+        (len(config.iou_thresholds), config.num_classes, n_a, len(config.max_dets_list)),
+        dtype=np.int64,
+    )
+    tp_index, _ = matches.kept_verdicts()
+    np.add.at(tp_totals, tp_index[:4], 1)
 
-    # Non-empty matches per (class, area) in dataset order, so the stable
-    # global sort breaks confidence ties by image order.
-    matches: dict[tuple[int, int], list[CellMatches]] = {}
-    gamma = np.zeros((n_k, n_a), dtype=np.int64)
-    tp_totals = np.zeros((len(config.iou_thresholds), n_k, n_a, len(limits)), dtype=np.int64)
-
-    for detections, ground_truths in dataset:
-        for (k, a_idx), cell in match_image(detections, ground_truths, config).cells.items():
-            gamma[k, a_idx] += cell.gt_count
-            n = len(cell.confidences)
-            if n:
-                # TP count of each limit's prefix, per IoU threshold.
-                prefix_tp = np.cumsum(cell.tp, axis=1)
-                tp_totals[:, k, a_idx] += prefix_tp[:, np.minimum(limits, n) - 1]
-                matches.setdefault((k, a_idx), []).append(cell)
+    # Group columns by (class, area), descending confidence within a cell.
+    # The sort is stable, so ties keep dataset order, then rank.
+    order = np.lexsort((-matches.confidences, matches.area, matches.cls))
+    cell_of = (matches.cls * n_a + matches.area)[order]
+    bounds = np.searchsorted(cell_of, np.arange(config.num_classes * n_a + 1))
+    tp = matches.tp[:, order]
 
     def ap_for(t_idx: int, k: int, a_idx: int) -> float:
-        cells = matches.get((k, a_idx))
-        if not cells:
-            return 0.0
-        conf = np.concatenate([c.confidences for c in cells])
-        tp = np.concatenate([c.tp[t_idx] for c in cells])[np.argsort(-conf, kind="stable")]
-        return cell_ap(np.cumsum(tp), np.cumsum(~tp), int(gamma[k, a_idx]), config.recall_thresholds)
+        cell = k * n_a + a_idx
+        flags = tp[t_idx, bounds[cell] : bounds[cell + 1]]
+        return cell_ap(
+            np.cumsum(flags), np.cumsum(~flags), int(matches.gt_counts[k, a_idx]),
+            config.recall_thresholds,
+        )
 
-    return metric_report(config, gamma, tp_totals, ap_for)
+    return metric_report(config, matches.gt_counts, tp_totals, ap_for)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import UNDEFINED, ConfigError, EvalConfig, MetricReport
 from .geometry import Detection, GroundTruth
-from .matching import match_image
+from .matching import Matches, match_batch
 
 
 class MergeError(ValueError):
@@ -105,36 +105,22 @@ def update(
     Returns the same state object, mutated in place. The update is atomic:
     if any image fails validation or matching, the state is left untouched.
     """
-    cfg = state.config
+    return add_matches(state, match_batch(batch, state.config))
 
-    # Stage all increments first so a failing image cannot half-apply.
-    # Per detection kept at the largest limit: (class, area, rank in its
-    # cell), confidence, and TP flag per IoU threshold.
-    coords: list[np.ndarray] = []
-    confidences: list[np.ndarray] = []
-    flags: list[np.ndarray] = []
-    gt_delta = np.zeros_like(state.gt_counts)
 
-    for detections, ground_truths in batch:
-        for (k, a_idx), cell in match_image(detections, ground_truths, cfg).cells.items():
-            gt_delta[k, a_idx] += cell.gt_count
-            n = len(cell.confidences)
-            coords.append(np.stack([np.full(n, k), np.full(n, a_idx), np.arange(n)]))
-            confidences.append(cell.confidences)
-            flags.append(cell.tp)
+def add_matches(state: BucketedState, matches: Matches) -> BucketedState:
+    """Fold a matched batch into the state; returns the same state object.
 
-    if coords:
-        k_of, a_of, rank = np.concatenate(coords, axis=1)
-        b_of = bucket_index(np.concatenate(confidences), cfg.buckets)
-        tp = np.concatenate(flags, axis=1)  # (theta, detection)
-        kept = rank < np.array(cfg.max_dets_list)[:, None, None]  # (max-dets, 1, detection)
-        staged = []
-        for hist, hit in ((state.tp_buckets, tp & kept), (state.fp_buckets, ~tp & kept)):
-            m, t, j = np.nonzero(hit)
-            staged.append((hist, (t, k_of[j], a_of[j], m, b_of[j])))
-        for hist, index in staged:
-            np.add.at(hist, index, 1)
-    state.gt_counts += gt_delta
+    Raises ValueError, before any write, if the matches were made under
+    another config.
+    """
+    if matches.config != state.config:
+        raise ValueError("matches were made under a different config than the state")
+    b_of = bucket_index(matches.confidences, state.config.buckets)
+    tp_index, fp_index = matches.kept_verdicts()
+    for hist, (t, k, a, m, j) in ((state.tp_buckets, tp_index), (state.fp_buckets, fp_index)):
+        np.add.at(hist, (t, k, a, m, b_of[j]), 1)
+    state.gt_counts += matches.gt_counts
     return state
 
 

@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cocostream import BoundingBox, Detection, EvalConfig, GroundTruth
+from cocostream import BoundingBox, Detection, EvalConfig, GroundTruth, MatchResult
+from cocostream.matching import Verdict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -38,6 +39,20 @@ def make_det(left=0.0, top=0.0, right=10.0, bottom=10.0, class_id=0, confidence=
 
 def make_gt(left=0.0, top=0.0, right=10.0, bottom=10.0, class_id=0):
     return GroundTruth(BoundingBox(left, top, right, bottom), class_id)
+
+
+def cell_result(matches, class_id, iou_idx, area_idx, maxdets_idx):
+    """The verdicts of one grid cell, read from a match_image record in
+    column order, in the form of the scalar reference match_image_class."""
+    limit = matches.config.max_dets_list[maxdets_idx]
+    cols = np.nonzero(
+        (matches.cls == class_id) & (matches.area == area_idx) & (matches.rank < limit)
+    )[0]
+    verdicts = tuple(
+        Verdict(float(c), bool(f))
+        for c, f in zip(matches.confidences[cols], matches.tp[iou_idx, cols])
+    )
+    return MatchResult(verdicts=verdicts, gt_count=int(matches.gt_counts[class_id, area_idx]))
 
 
 def random_image(rng, num_classes=3, max_boxes=10, span=200.0, confidences=None):

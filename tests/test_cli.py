@@ -189,6 +189,32 @@ class TestSynthBench:
 class TestBadInputExitsCleanly:
     """Bad input ends in exit code 2 and a one-line error, never a traceback."""
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-dets", "a"),
+            ("--max-dets", "1.5"),
+            ("--iou-thresholds", "0.5,x"),
+            ("--recall-thresholds", ","),
+            ("--area-ranges", "foo"),
+            ("--area-ranges", "all:0:big"),
+            ("--image-counts", "0"),
+            ("--image-counts", "2,x"),
+            ("--repeats", "-1"),
+            ("--repeats", "0"),
+        ],
+    )
+    def test_bad_flag_value_names_its_flag(self, golden_paths, tmp_path, capsys, flag, value):
+        gt, _ = golden_paths
+        argv = ["synth-bench", gt, "--image-counts", "2", "--output", tmp_path / "rows.csv"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, flag, value)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_decreasing_max_dets(self, golden_paths, capsys):
         gt, det = golden_paths
         assert run_cli("evaluate", gt, det, "--max-dets", "100,10,1") == 2

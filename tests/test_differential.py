@@ -1,6 +1,7 @@
-"""Differential tests of the columnar matching and bucketing path against the
-scalar references: match_image_class per grid cell and bucket_index per
-confidence.
+"""Differential tests of the columnar matching, bucketing and exact paths
+against the scalar references: match_image_class per grid cell,
+bucket_index per confidence, and a global sort of match_image_class
+verdicts for evaluate_exact.
 
 Max-dets limits are drawn from 1-6, so prefixes of the single match at the
 largest limit really get cut; small integer boxes and a few repeated
@@ -17,11 +18,16 @@ from cocostream import (
     EvalConfig,
     GroundTruth,
     bucket_index,
+    evaluate_exact,
+    interpolate_ap,
     match_image_class,
     new_state,
     update,
 )
 from cocostream.matching import match_image
+from cocostream.streaming import metric_report
+
+from conftest import cell_result
 
 NUM_CLASSES = 2
 
@@ -68,7 +74,7 @@ def test_match_image_cells_equal_reference(config, image):
             for a_idx, (_, area) in enumerate(config.area_ranges):
                 for m_idx, max_dets in enumerate(config.max_dets_list):
                     want = match_image_class(k_dets, k_gts, theta, max_dets, area)
-                    assert matches.result(k, t_idx, a_idx, m_idx) == want
+                    assert cell_result(matches, k, t_idx, a_idx, m_idx) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -103,3 +109,42 @@ def test_array_bucket_index_equals_scalar(values, buckets):
     got = bucket_index(np.array(values, dtype=float), buckets)
     assert got.shape == (len(values),)
     assert got.tolist() == [bucket_index(c, buckets) for c in values]
+
+
+# Few distinct confidences, so tie order across and within images matters.
+tied_detections = st.builds(Detection, boxes(), classes, st.sampled_from([0.2, 0.5, 0.9, 1.0]))
+tied_images = st.tuples(
+    st.lists(tied_detections, max_size=8), st.lists(ground_truths, max_size=6)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=configs, dataset=st.lists(tied_images, max_size=4))
+def test_evaluate_exact_equals_scalar_reference(config, dataset):
+    n_t, n_a = len(config.iou_thresholds), len(config.area_ranges)
+    gt_counts = np.zeros((NUM_CLASSES, n_a), dtype=np.int64)
+    tp_totals = np.zeros((n_t, NUM_CLASSES, n_a, len(config.max_dets_list)), dtype=np.int64)
+    top_verdicts = {}  # (theta, class, area) -> verdicts at the largest limit, dataset order
+    for dets, gts in dataset:
+        for k in range(NUM_CLASSES):
+            k_dets, k_gts = _class_inputs(dets, gts, k)
+            for t_idx, theta in enumerate(config.iou_thresholds):
+                for a_idx, (_, area) in enumerate(config.area_ranges):
+                    for m_idx, max_dets in enumerate(config.max_dets_list):
+                        res = match_image_class(k_dets, k_gts, theta, max_dets, area)
+                        tp_totals[t_idx, k, a_idx, m_idx] += sum(v.is_tp for v in res.verdicts)
+                    top_verdicts.setdefault((t_idx, k, a_idx), []).extend(res.verdicts)
+                    if t_idx == 0:
+                        gt_counts[k, a_idx] += res.gt_count
+
+    def ap_for(t_idx, k, a_idx):
+        ranked = sorted(top_verdicts[(t_idx, k, a_idx)], key=lambda v: -v.confidence)
+        recalls, precisions, tp = [], [], 0
+        for i, v in enumerate(ranked, start=1):
+            tp += v.is_tp
+            recalls.append(tp / gt_counts[k, a_idx])
+            precisions.append(tp / i)
+        return interpolate_ap(recalls, precisions, config.recall_thresholds)
+
+    want = metric_report(config, gt_counts, tp_totals, ap_for)
+    assert evaluate_exact(dataset, config).as_dict() == want.as_dict()

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cocostream import (
@@ -267,3 +268,80 @@ class TestErrorsNameLocation:
         doc["annotations"][0]["bbox"] = [0, 0, float("inf"), 1]
         with pytest.raises(ValidationError, match=r"annotations\[0\]"):
             load_ground_truth(doc)
+
+
+class TestOnlyJsonNumbers:
+    """Ids must be numbers of integral value; scores and bbox entries must be
+    numbers. Booleans and numeric strings are rejected, never converted."""
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("images", "id"),
+            ("categories", "id"),
+            ("annotations", "image_id"),
+            ("annotations", "category_id"),
+        ],
+    )
+    @pytest.mark.parametrize("value, message", [
+        (1.9, "is not an integer"),
+        ("1", "is not a number"),
+        (True, "is not a number"),
+    ])
+    def test_annotation_document_bad_id(self, section, key, value, message):
+        doc = valid_annotation_doc()
+        doc[section][0][key] = value
+        with pytest.raises(ParseError, match=rf"{section}\[0\]: '{key}' {message}"):
+            load_ground_truth(doc)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("image_id", 1.9, "is not an integer"),
+        ("category_id", 3.2, "is not an integer"),
+        ("category_id", np.float32(3.5), "is not an integer"),
+        ("image_id", float("nan"), "is not an integer"),
+        ("image_id", "1", "is not a number"),
+        ("category_id", True, "is not a number"),
+        ("score", True, "is not a number"),
+        ("score", "0.5", "is not a number"),
+    ])
+    def test_results_bad_value(self, key, value, message):
+        rows = valid_results()
+        rows[0][key] = value
+        with pytest.raises(ParseError, match=rf"results\[0\]: '{key}' {message}"):
+            load_detections(rows, load_ground_truth(minimal_doc()))
+
+    @pytest.mark.parametrize("bbox", [["1", 0, 10, 10], [True, 0, 10, 10], [0, 0, 10, 10**400]])
+    @pytest.mark.parametrize("in_results", [False, True])
+    def test_bad_bbox_entry(self, bbox, in_results):
+        if in_results:
+            rows = valid_results()
+            rows[0]["bbox"] = bbox
+            with pytest.raises(ParseError, match=r"results\[0\]: bbox entries must be numbers"):
+                load_detections(rows, load_ground_truth(minimal_doc()))
+        else:
+            doc = valid_annotation_doc()
+            doc["annotations"][0]["bbox"] = bbox
+            with pytest.raises(ParseError, match=r"annotations\[0\]: bbox entries must be numbers"):
+                load_ground_truth(doc)
+
+    def test_integral_float_ids_and_integer_score_load(self):
+        doc = minimal_doc([{"id": 1, "image_id": 2.0, "category_id": 9.0, "bbox": [0, 0, 1, 1]}])
+        doc["images"][0]["id"] = 1.0
+        gt = load_ground_truth(doc)
+        assert [rec.image_id for rec in gt.images] == [1, 2]
+        assert gt.images[1].ground_truths[0].class_id == 1
+        rows = [{"image_id": 1.0, "category_id": 3.0, "bbox": [0, 0, 1, 1], "score": 1}]
+        ds = load_detections(rows, gt)
+        assert ds.images[0].detections[0].class_id == 0
+        assert ds.images[0].detections[0].confidence == 1.0
+
+    def test_numpy_scalars_in_memory_load(self):
+        rows = [{
+            "image_id": np.int64(1),
+            "category_id": np.int32(3),
+            "bbox": [np.float64(0), np.int64(0), 1, 1],
+            "score": np.float32(0.5),
+        }]
+        ds = load_detections(rows, load_ground_truth(minimal_doc()))
+        det = ds.images[0].detections[0]
+        assert (det.class_id, det.confidence, det.box.right) == (0, 0.5, 1.0)

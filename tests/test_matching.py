@@ -6,7 +6,7 @@ import pytest
 from cocostream import AreaRange, ConfigError, EvalConfig, MatchingError
 from cocostream.matching import match_image, match_image_class
 
-from conftest import make_det, make_gt, random_image
+from conftest import cell_result, make_det, make_gt, random_image
 
 ALL_AREA = AreaRange(0.0, math.inf)
 
@@ -111,9 +111,9 @@ class TestMatchImageClass:
 class TestMatchImage:
     def test_empty_image_yields_empty_cells(self, small_config):
         matches = match_image([], [], small_config)
-        assert matches.present_classes == ()
+        assert matches.tp.shape == (len(small_config.iou_thresholds), 0)
         for t in range(len(small_config.iou_thresholds)):
-            res = matches.result(0, t, 0, 0)
+            res = cell_result(matches, 0, t, 0, 0)
             assert res.verdicts == () and res.gt_count == 0
 
     def test_grid_cardinality(self):
@@ -122,7 +122,7 @@ class TestMatchImage:
             [make_det(confidence=0.9)], [make_gt()], cfg
         )
         t_cells = [
-            matches.result(0, t, 0, 0) for t in range(len(cfg.iou_thresholds))
+            cell_result(matches, 0, t, 0, 0) for t in range(len(cfg.iou_thresholds))
         ]
         assert len(t_cells) == 10
         assert all(r.gt_count == 1 for r in t_cells)
@@ -132,7 +132,7 @@ class TestMatchImage:
         gts = [make_gt(class_id=1)]
         matches = match_image(dets, gts, small_config)
         for t in range(len(small_config.iou_thresholds)):
-            res = matches.result(2, t, 0, len(small_config.max_dets_list) - 1)
+            res = cell_result(matches, 2, t, 0, len(small_config.max_dets_list) - 1)
             assert verdict_flags(res) == [False]
             assert res.gt_count == 0
 
@@ -140,9 +140,18 @@ class TestMatchImage:
         dets = [make_det(class_id=-1, confidence=0.9), make_det(class_id=0, confidence=0.8)]
         gts = [make_gt(class_id=-1), make_gt(class_id=0)]
         matches = match_image(dets, gts, small_config)
-        res = matches.result(0, 0, 0, 2)
+        res = cell_result(matches, 0, 0, 0, 2)
         assert verdict_flags(res) == [True]
         assert res.gt_count == 1
+
+    def test_ground_truth_taken_per_threshold(self):
+        # The first detection claims the gt at IoU 0.6 only under theta 0.5,
+        # so under theta 0.7 the gt is still free for the second one.
+        cfg = EvalConfig(num_classes=1, iou_thresholds=(0.5, 0.7))
+        dets = [make_det(bottom=6.0, confidence=0.9), make_det(bottom=9.0, confidence=0.8)]
+        matches = match_image(dets, [make_gt()], cfg)
+        assert verdict_flags(cell_result(matches, 0, 0, 0, 2)) == [True, False]
+        assert verdict_flags(cell_result(matches, 0, 1, 0, 2)) == [False, True]
 
     def test_out_of_range_class_rejected(self, small_config):
         with pytest.raises(MatchingError):
@@ -161,7 +170,7 @@ class TestMatchImage:
                     for a_idx, (_, area) in enumerate(small_config.area_ranges):
                         for m_idx, md in enumerate(small_config.max_dets_list):
                             want = match_image_class(k_dets, k_gts, theta, md, area)
-                            got = matches.result(k, t_idx, a_idx, m_idx)
+                            got = cell_result(matches, k, t_idx, a_idx, m_idx)
                             assert got == want
 
 

@@ -21,6 +21,8 @@ from cocostream import (
     update,
 )
 from cocostream.config import METRIC_NAMES
+from cocostream.matching import match_batch
+from cocostream.streaming import add_matches
 
 from conftest import make_det, make_gt, random_dataset
 
@@ -110,6 +112,14 @@ class TestUpdate:
         state = new_state(small_config)
         with pytest.raises(Exception):
             update(state, [good, bad])
+        assert not state.tp_buckets.any()
+        assert not state.gt_counts.any()
+
+    def test_add_matches_rejects_other_config_before_writing(self, small_config):
+        matches = match_batch([([make_det(confidence=0.7)], [make_gt()])], small_config)
+        state = new_state(EvalConfig(num_classes=3, buckets=10))
+        with pytest.raises(ValueError, match="different config"):
+            add_matches(state, matches)
         assert not state.tp_buckets.any()
         assert not state.gt_counts.any()
 
