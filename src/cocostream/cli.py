@@ -29,7 +29,7 @@ from .ingest import (
     load_ground_truth,
 )
 from .oracle import evaluate_exact
-from .streaming import MergeError, finalize, load_state, merge, new_state, save_state, update
+from .streaming import MergeError, finalize, load_state, merge_into, new_state, save_state, update
 
 ROW_COLUMNS = (
     "metric_name",
@@ -77,6 +77,14 @@ def _area_range(text: str) -> tuple[str, AreaRange]:
     return name, AreaRange(float(lo), math.inf if hi == "" else float(hi))
 
 
+def _config_field(field: str, parse):
+    """A type= callable that also checks the value as the EvalConfig field
+    it sets, so a range or order error names the flag."""
+    return _flag_type(
+        lambda text: getattr(EvalConfig(num_classes=1, **{field: parse(text)}), field)
+    )
+
+
 def _build_config(args: argparse.Namespace, num_classes: int) -> EvalConfig:
     flags = ("buckets", "iou_thresholds", "recall_thresholds", "max_dets_list", "area_ranges")
     overrides = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
@@ -84,22 +92,24 @@ def _build_config(args: argparse.Namespace, num_classes: int) -> EvalConfig:
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--buckets", type=int, default=None, help="confidence buckets (default 10000)")
     p.add_argument(
-        "--iou-thresholds", type=_flag_type(_list), default=None, metavar="T1,T2,...",
+        "--buckets", type=_config_field("buckets", int), help="confidence buckets (default 10000)"
+    )
+    p.add_argument(
+        "--iou-thresholds", type=_config_field("iou_thresholds", _list), metavar="T1,T2,...",
         help="comma-separated IoU thresholds (default 0.50:0.05:0.95)",
     )
     p.add_argument(
-        "--recall-thresholds", type=_flag_type(_list), default=None, metavar="R1,R2,...",
+        "--recall-thresholds", type=_config_field("recall_thresholds", _list), metavar="R1,R2,...",
         help="comma-separated recall thresholds (default 0.00:0.01:1.00)",
     )
     p.add_argument(
-        "--max-dets", type=_flag_type(lambda t: _list(t, int)), default=None,
+        "--max-dets", type=_flag_type(lambda t: _list(t, _count)), default=None,
         dest="max_dets_list", metavar="M1,M2,...",
         help="comma-separated max-detection limits (default 1,10,100)",
     )
     p.add_argument(
-        "--area-ranges", type=_flag_type(lambda t: _list(t, _area_range)), default=None,
+        "--area-ranges", type=_config_field("area_ranges", lambda t: _list(t, _area_range)),
         metavar="name:min:max,...",
         help="area ranges as name:min:max (empty max = unbounded); "
         "default all/small/medium/large COCO ranges",
@@ -154,7 +164,7 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             merged = state
         else:
             try:
-                merged = merge(merged, state)
+                merge_into(merged, state)
             except MergeError:
                 raise MergeError(f"config mismatch between {prev_path} and {path}")
         prev_path = path

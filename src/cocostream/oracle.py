@@ -17,7 +17,7 @@ import numpy as np
 from .config import EvalConfig, MetricReport
 from .geometry import Detection, GroundTruth
 from .matching import Matches, match_batch
-from .streaming import cell_ap, metric_report
+from .streaming import cell_aps, metric_report
 
 
 def evaluate_exact(
@@ -39,19 +39,13 @@ def exact_report(matches: Matches) -> MetricReport:
     tp_index, _ = matches.kept_verdicts()
     np.add.at(tp_totals, tp_index[:4], 1)
 
-    # Group columns by (class, area), descending confidence within a cell.
-    # The sort is stable, so ties keep dataset order, then rank.
+    # Group columns by (theta, class, area) cell, one row of columns per
+    # theta, descending confidence within a cell. The sort is stable, so
+    # ties keep dataset order, then rank.
     order = np.lexsort((-matches.confidences, matches.area, matches.cls))
-    cell_of = (matches.cls * n_a + matches.area)[order]
-    bounds = np.searchsorted(cell_of, np.arange(config.num_classes * n_a + 1))
-    tp = matches.tp[:, order]
-
-    def ap_for(t_idx: int, k: int, a_idx: int) -> float:
-        cell = k * n_a + a_idx
-        flags = tp[t_idx, bounds[cell] : bounds[cell + 1]]
-        return cell_ap(
-            np.cumsum(flags), np.cumsum(~flags), int(matches.gt_counts[k, a_idx]),
-            config.recall_thresholds,
-        )
-
-    return metric_report(config, matches.gt_counts, tp_totals, ap_for)
+    n_t, n_cells = len(config.iou_thresholds), config.num_classes * n_a
+    cell_of = np.arange(n_t)[:, None] * n_cells + (matches.cls * n_a + matches.area)[order]
+    bounds = np.searchsorted(cell_of.ravel(), np.arange(n_t * n_cells + 1))
+    tp = matches.tp[:, order].ravel()
+    ap = cell_aps(config, matches.gt_counts, tp, ~tp, bounds)
+    return metric_report(config, matches.gt_counts, tp_totals, ap)

@@ -13,9 +13,8 @@ associative and commutative.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from typing import BinaryIO, Callable, Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -124,16 +123,24 @@ def add_matches(state: BucketedState, matches: Matches) -> BucketedState:
     return state
 
 
-def merge(a: BucketedState, b: BucketedState) -> BucketedState:
-    """Elementwise sum of two states with identical configs."""
+def _require_same_config(a: BucketedState, b: BucketedState) -> None:
     if a.config.to_dict() != b.config.to_dict():
         raise MergeError("cannot merge states with differing configs")
-    return BucketedState(
-        config=a.config,
-        tp_buckets=a.tp_buckets + b.tp_buckets,
-        fp_buckets=a.fp_buckets + b.fp_buckets,
-        gt_counts=a.gt_counts + b.gt_counts,
-    )
+
+
+def merge_into(acc: BucketedState, other: BucketedState) -> BucketedState:
+    """Add other's counters into acc in place; returns acc."""
+    _require_same_config(acc, other)
+    for name in _array_shapes(acc.config):
+        np.add(getattr(acc, name), getattr(other, name), out=getattr(acc, name))
+    return acc
+
+
+def merge(a: BucketedState, b: BucketedState) -> BucketedState:
+    """Elementwise sum of two states with identical configs; a and b are unchanged."""
+    _require_same_config(a, b)
+    sums = {name: getattr(a, name) + getattr(b, name) for name in _array_shapes(a.config)}
+    return BucketedState(config=a.config, **sums)
 
 
 def interpolate_ap(
@@ -161,71 +168,66 @@ def interpolate_ap(
     return float(total / len(recall_thresholds))
 
 
-def cell_ap(
-    tpc: np.ndarray,
-    fpc: np.ndarray,
-    gamma: int,
-    recall_thresholds: Sequence[float],
-) -> float:
-    """AP of one (theta, class, area) cell from its PR curve.
+def cell_aps(config: EvalConfig, gt_counts, tp, fp, bounds) -> np.ndarray:
+    """(|Theta|, classes, areas) AP of each cell with ground truth, else 0.
 
-    tpc / fpc are cumulative TP / FP counts along descending confidence:
-    one point per detection (exact) or per bucket (streaming). Points with
-    no detection yet have precision 0.
+    Cell c, in (theta, class, area) ravel order, owns the PR points
+    bounds[c]:bounds[c + 1] of the TP / FP count vectors, in descending
+    confidence: one per detection (exact) or per occupied bucket (streaming).
     """
-    recalls = tpc / gamma
-    denom = tpc + fpc
-    precisions = np.divide(
-        tpc, denom, out=np.zeros(len(tpc), dtype=float), where=denom > 0
-    )
-    return interpolate_ap(recalls, precisions, recall_thresholds)
+    tpc = np.concatenate(([0], np.cumsum(tp)))
+    fpc = np.concatenate(([0], np.cumsum(fp)))
+    gammas = np.broadcast_to(gt_counts, (len(config.iou_thresholds), *gt_counts.shape)).ravel()
+    ap = np.zeros(len(gammas))
+    for c in np.flatnonzero(gammas):
+        lo, hi = bounds[c], bounds[c + 1]
+        cell_tp = tpc[lo + 1 : hi + 1] - tpc[lo]
+        cell_fp = fpc[lo + 1 : hi + 1] - fpc[lo]
+        ap[c] = interpolate_ap(
+            cell_tp / gammas[c], cell_tp / (cell_tp + cell_fp), config.recall_thresholds
+        )
+    return ap.reshape(-1, *gt_counts.shape)
 
 
-def metric_report(
-    config: EvalConfig,
-    gt_counts: np.ndarray,
-    tp_totals: np.ndarray,
-    ap_for: Callable[[int, int, int], float],
-) -> MetricReport:
+def metric_report(config: EvalConfig, gt_counts, tp_totals, ap) -> MetricReport:
     """Reduce per-cell counts to the 12-metric report.
 
     gt_counts is (classes, areas); tp_totals is (|Theta|, classes, areas,
-    max-dets); ap_for(t_idx, k, a_idx) is the AP of a cell at the largest
+    max-dets); ap is the (|Theta|, classes, areas) AP at the largest
     max-dets limit. Classes with zero ground truths in a given area range
     are excluded from the average; if no class qualifies the metric is -1.
     """
-    all_t = range(len(config.iou_thresholds))
+    has_gt = gt_counts > 0
+    recalls = np.divide(
+        tp_totals, gt_counts[..., None], out=np.zeros(tp_totals.shape), where=has_gt[..., None]
+    )
 
-    def mean(
-        area_name: str, value: Callable[[int, int, int], float], t_indices: Sequence[int] = all_t
-    ) -> float:
-        """Mean of value(t_idx, k, a_idx) over t_indices and the classes with
-        ground truth in the area."""
+    def mean(area_name: str, values: np.ndarray, t_indices=slice(None)) -> float:
+        """Mean of a (|Theta|, classes, areas) array over t_indices and the
+        classes with ground truth in the area, summed class-major."""
         a_idx = config.area_index(area_name)
         if a_idx is None:
             return UNDEFINED
-        classes = [k for k in range(config.num_classes) if gt_counts[k, a_idx] > 0]
-        if not classes:
+        classes = np.flatnonzero(has_gt[:, a_idx])
+        if not classes.size:
             return UNDEFINED
-        return float(np.mean([value(t, k, a_idx) for k in classes for t in t_indices]))
+        return float(np.mean(values[:, classes, a_idx][t_indices].T.ravel()))
 
     def recall(area_name: str, max_dets: int) -> float:
         m_idx = config.max_dets_index(max_dets)
-        if m_idx is None:
-            return UNDEFINED
-        return mean(area_name, lambda t, k, a_idx: tp_totals[t, k, a_idx, m_idx] / gt_counts[k, a_idx])
+        return UNDEFINED if m_idx is None else mean(area_name, recalls[..., m_idx])
 
     t50 = config.iou_index(0.5)
     t75 = config.iou_index(0.75)
     top_dets = config.max_dets_list[-1]
 
     return MetricReport(
-        map_standard=mean("all", ap_for),
-        map_50=mean("all", ap_for, [t50]) if t50 is not None else UNDEFINED,
-        map_75=mean("all", ap_for, [t75]) if t75 is not None else UNDEFINED,
-        map_small=mean("small", ap_for),
-        map_medium=mean("medium", ap_for),
-        map_large=mean("large", ap_for),
+        map_standard=mean("all", ap),
+        map_50=mean("all", ap, [t50]) if t50 is not None else UNDEFINED,
+        map_75=mean("all", ap, [t75]) if t75 is not None else UNDEFINED,
+        map_small=mean("small", ap),
+        map_medium=mean("medium", ap),
+        map_large=mean("large", ap),
         recall_maxdets_1=recall("all", 1),
         recall_maxdets_10=recall("all", 10),
         recall_maxdets_100=recall("all", top_dets),
@@ -240,21 +242,21 @@ def finalize(state: BucketedState) -> MetricReport:
 
     Recall metrics are exact (total TP over total ground truths); MaP uses
     the bucket-granularity PR curve and is approximate up to bucket width.
+    Only the occupied buckets at the largest max-dets limit are reduced: an
+    empty bucket repeats the PR point before it.
     """
     cfg = state.config
-    m_top = len(cfg.max_dets_list) - 1  # the largest limit
-
-    def ap_for(t_idx: int, k: int, a_idx: int) -> float:
-        # Suffix sums over the bucket axis: entry i counts detections whose
-        # bucket index is >= buckets - 1 - i.
-        return cell_ap(
-            np.cumsum(state.tp_buckets[t_idx, k, a_idx, m_top, ::-1]),
-            np.cumsum(state.fp_buckets[t_idx, k, a_idx, m_top, ::-1]),
-            int(state.gt_counts[k, a_idx]),
-            cfg.recall_thresholds,
-        )
-
-    return metric_report(cfg, state.gt_counts, state.tp_buckets.sum(axis=-1), ap_for)
+    # (cells, buckets) views of the top limit, highest bucket first.
+    tp = state.tp_buckets[..., -1, ::-1].reshape(-1, cfg.buckets)
+    fp = state.fp_buckets[..., -1, ::-1].reshape(-1, cfg.buckets)
+    cells, b = np.divmod(np.flatnonzero(np.logical_or(tp, fp)), cfg.buckets)
+    tp_counts = tp[cells, b]
+    tp_totals = np.zeros(state.tp_buckets.shape[:-1], dtype=np.int64)
+    tp_totals[..., :-1] = state.tp_buckets[..., :-1, :].sum(axis=-1)
+    np.add.at(tp_totals[..., -1], np.unravel_index(cells, tp_totals.shape[:-1]), tp_counts)
+    bounds = np.searchsorted(cells, np.arange(len(tp) + 1))
+    ap = cell_aps(cfg, state.gt_counts, tp_counts, fp[cells, b], bounds)
+    return metric_report(cfg, state.gt_counts, tp_totals, ap)
 
 
 # -- state snapshot serialization -----------------------------------------
@@ -276,10 +278,21 @@ def save_state(state: BucketedState, fp: BinaryIO) -> None:
             for name in names
         ],
     }
-    fp.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-    fp.write(b"\n")
+    stalled = "snapshot write made no progress"
+    _transfer(fp.write, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n", stalled)
     for name in names:
-        fp.write(np.ascontiguousarray(getattr(state, name), dtype="<i8").tobytes())
+        _transfer(fp.write, np.ascontiguousarray(getattr(state, name), dtype="<i8"), stalled)
+
+
+def _transfer(io_call, buffer, error: str) -> None:
+    """Call fp.write or fp.readinto until all of buffer has moved (a raw
+    stream may move fewer bytes per call); raise ValueError(error) on a stall."""
+    view = memoryview(buffer).cast("B")
+    while view:
+        moved = io_call(view)
+        if not moved:
+            raise ValueError(error)
+        view = view[moved:]
 
 
 def load_state(fp: BinaryIO) -> BucketedState:
@@ -308,12 +321,10 @@ def load_state(fp: BinaryIO) -> BucketedState:
         )
     arrays = {}
     for name, shape in shapes.items():
-        count = math.prod(shape)
-        buf = fp.read(count * 8)
-        if len(buf) != count * 8:
-            raise ValueError(f"truncated snapshot while reading {name}")
-        arr = np.frombuffer(buf, dtype="<i8").reshape(shape).astype(np.int64)
-        if arr.size and arr.min() < 0:
+        arr = np.empty(shape, dtype="<i8")
+        _transfer(fp.readinto, arr, f"truncated snapshot while reading {name}")
+        arr = arr.astype(np.int64, copy=False)  # native order on big-endian hosts
+        if arr.min() < 0:
             raise ValueError(f"negative counter in snapshot array {name}")
         arrays[name] = arr
     if fp.read(1):

@@ -1,0 +1,82 @@
+"""Dense reference reducer: the per-cell finalize that cumsums every bucket.
+
+finalize in cocostream.streaming reduces only the occupied buckets and
+fills one AP array; this module keeps the straightforward form it replaced,
+one ap_for(t, k, a) callback per cell over the full bucket axis and a mean
+over a Python list, so tests can require bit-identical reports.
+"""
+
+from typing import Callable, Sequence
+
+import numpy as np
+
+from cocostream import UNDEFINED, BucketedState, EvalConfig, MetricReport, interpolate_ap
+
+
+def cell_ap(tpc: np.ndarray, fpc: np.ndarray, gamma: int, recall_thresholds) -> float:
+    """AP of one cell from cumulative TP / FP counts along descending
+    confidence; points with no detection yet have precision 0."""
+    denom = tpc + fpc
+    precisions = np.divide(tpc, denom, out=np.zeros(len(tpc), dtype=float), where=denom > 0)
+    return interpolate_ap(tpc / gamma, precisions, recall_thresholds)
+
+
+def metric_report(
+    config: EvalConfig,
+    gt_counts: np.ndarray,
+    tp_totals: np.ndarray,
+    ap_for: Callable[[int, int, int], float],
+) -> MetricReport:
+    """The 12-metric report with one ap_for(t_idx, k, a_idx) call per
+    (theta, class-with-ground-truth) of each metric's area."""
+    all_t = range(len(config.iou_thresholds))
+
+    def mean(area_name: str, value, t_indices: Sequence[int] = all_t) -> float:
+        a_idx = config.area_index(area_name)
+        if a_idx is None:
+            return UNDEFINED
+        classes = [k for k in range(config.num_classes) if gt_counts[k, a_idx] > 0]
+        if not classes:
+            return UNDEFINED
+        return float(np.mean([value(t, k, a_idx) for k in classes for t in t_indices]))
+
+    def recall(area_name: str, max_dets: int) -> float:
+        m_idx = config.max_dets_index(max_dets)
+        if m_idx is None:
+            return UNDEFINED
+        return mean(area_name, lambda t, k, a: tp_totals[t, k, a, m_idx] / gt_counts[k, a])
+
+    t50 = config.iou_index(0.5)
+    t75 = config.iou_index(0.75)
+    top_dets = config.max_dets_list[-1]
+    return MetricReport(
+        map_standard=mean("all", ap_for),
+        map_50=mean("all", ap_for, [t50]) if t50 is not None else UNDEFINED,
+        map_75=mean("all", ap_for, [t75]) if t75 is not None else UNDEFINED,
+        map_small=mean("small", ap_for),
+        map_medium=mean("medium", ap_for),
+        map_large=mean("large", ap_for),
+        recall_maxdets_1=recall("all", 1),
+        recall_maxdets_10=recall("all", 10),
+        recall_maxdets_100=recall("all", top_dets),
+        recall_small=recall("small", top_dets),
+        recall_medium=recall("medium", top_dets),
+        recall_large=recall("large", top_dets),
+    )
+
+
+def dense_finalize(state: BucketedState) -> MetricReport:
+    """finalize over every bucket at the largest max-dets limit."""
+    cfg = state.config
+
+    def ap_for(t_idx: int, k: int, a_idx: int) -> float:
+        # Suffix sums over the bucket axis: entry i counts detections whose
+        # bucket index is >= buckets - 1 - i.
+        return cell_ap(
+            np.cumsum(state.tp_buckets[t_idx, k, a_idx, -1, ::-1]),
+            np.cumsum(state.fp_buckets[t_idx, k, a_idx, -1, ::-1]),
+            int(state.gt_counts[k, a_idx]),
+            cfg.recall_thresholds,
+        )
+
+    return metric_report(cfg, state.gt_counts, state.tp_buckets.sum(axis=-1), ap_for)

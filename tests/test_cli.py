@@ -1,12 +1,13 @@
 import csv
+import io
 import json
 
 import pytest
 
-from cocostream import finalize, load_state
+from cocostream import finalize, load_state, new_state, save_state, update
 from cocostream.cli import main
 
-from conftest import GOLDEN_METRICS
+from conftest import GOLDEN_METRICS, random_dataset
 
 
 def run_cli(*args):
@@ -119,6 +120,21 @@ class TestMerge:
         for name, expected in GOLDEN_METRICS.items():
             assert merged[name] == pytest.approx(expected, abs=1e-12), name
 
+    def test_three_shards_in_any_order_equal_one_update(self, small_config, tmp_path):
+        shards = [random_dataset(seed, n_images=3) for seed in (31, 32, 33)]
+        paths = [tmp_path / f"shard{i}.bin" for i in range(len(shards))]
+        for shard, path in zip(shards, paths):
+            with path.open("wb") as fh:
+                save_state(update(new_state(small_config), shard), fh)
+        outputs = []
+        for order in ((0, 1, 2), (2, 0, 1)):
+            out = tmp_path / "merged.bin"
+            assert run_cli("merge", *(paths[i] for i in order), "--output", out) == 0
+            outputs.append(out.read_bytes())
+        whole = io.BytesIO()
+        save_state(update(new_state(small_config), [p for shard in shards for p in shard]), whole)
+        assert outputs[0] == outputs[1] == whole.getvalue()
+
     def test_config_mismatch_fails(self, golden_paths, tmp_path, capsys):
         a = self._make_state(golden_paths, tmp_path, "a.bin")
         b = self._make_state(golden_paths, tmp_path, "b.bin", max_dets="1,5")
@@ -202,18 +218,30 @@ class TestBadInputExitsCleanly:
             ("--image-counts", "2,x"),
             ("--repeats", "-1"),
             ("--repeats", "0"),
+            ("--iou-thresholds", "0.5,1.5"),
+            ("--iou-thresholds", "0.75,0.5"),
+            ("--recall-thresholds", "0.5,0.2"),
+            ("--recall-thresholds", "-0.1"),
+            ("--buckets", "0"),
+            ("--buckets", "x"),
+            ("--max-dets", "0,10"),
+            ("--area-ranges", "all:0:,all:0:5"),
         ],
     )
     def test_bad_flag_value_names_its_flag(self, golden_paths, tmp_path, capsys, flag, value):
-        gt, _ = golden_paths
-        argv = ["synth-bench", gt, "--image-counts", "2", "--output", tmp_path / "rows.csv"]
-        with pytest.raises(SystemExit) as exc:
-            run_cli(*argv, flag, value)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert f"argument {flag}: " in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "rows.csv").exists()
+        gt, det = golden_paths
+        out = tmp_path / "out.csv"
+        commands = [["synth-bench", gt, "--image-counts", "2"]]
+        if flag not in ("--image-counts", "--repeats"):
+            commands.append(["evaluate", gt, det])
+        for argv in commands:
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv, "--output", out, flag, value)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument {flag}: " in err
+            assert "Traceback" not in err
+            assert not out.exists()
 
     def test_decreasing_max_dets(self, golden_paths, capsys):
         gt, det = golden_paths

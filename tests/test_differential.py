@@ -1,15 +1,17 @@
 """Differential tests of the columnar matching, bucketing and exact paths
 against the scalar references: match_image_class per grid cell,
-bucket_index per confidence, and a global sort of match_image_class
-verdicts for evaluate_exact.
+bucket_index per confidence, a global sort of match_image_class verdicts
+for evaluate_exact, and the dense per-cell reducer for finalize.
 
 Max-dets limits are drawn from 1-6, so prefixes of the single match at the
 largest limit really get cut; small integer boxes and a few repeated
 confidences produce IoU and confidence ties.
 """
 
+from dataclasses import replace
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cocostream import (
@@ -19,15 +21,16 @@ from cocostream import (
     GroundTruth,
     bucket_index,
     evaluate_exact,
+    finalize,
     interpolate_ap,
     match_image_class,
     new_state,
     update,
 )
 from cocostream.matching import match_image
-from cocostream.streaming import metric_report
 
-from conftest import cell_result
+from conftest import cell_result, make_det, make_gt, random_dataset
+from reference import dense_finalize, metric_report
 
 NUM_CLASSES = 2
 
@@ -148,3 +151,41 @@ def test_evaluate_exact_equals_scalar_reference(config, dataset):
 
     want = metric_report(config, gt_counts, tp_totals, ap_for)
     assert evaluate_exact(dataset, config).as_dict() == want.as_dict()
+
+
+def _bits(report):
+    return {name: float(v).hex() for name, v in report.as_dict().items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    config=st.builds(replace, configs, buckets=st.sampled_from([1, 2, 7, 10000])),
+    dataset=st.lists(st.one_of(images, tied_images), max_size=4),
+)
+@example(config=EvalConfig(num_classes=NUM_CLASSES, buckets=7), dataset=[])
+@example(  # class 0 has detections and no ground truth, class 1 the reverse
+    config=EvalConfig(num_classes=NUM_CLASSES, buckets=2),
+    dataset=[([make_det(confidence=0.9), make_det(confidence=0.1)], [make_gt(class_id=1)])],
+)
+def test_finalize_equals_dense_reference(config, dataset):
+    state = update(new_state(config), dataset)
+    assert _bits(finalize(state)) == _bits(dense_finalize(state))
+
+
+def test_finalize_equals_dense_reference_on_the_default_grid():
+    # Ten thresholds, three classes and detections shifted off their ground
+    # truths give each mean enough distinct terms that a change in
+    # summation order shows in the last bits.
+    config = EvalConfig(num_classes=3, buckets=100)
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        dataset = []
+        for dets, gts in random_dataset(int(rng.integers(1 << 30)), n_images=8):
+            for g in gts:
+                dx, dy = rng.normal(0.0, 3.0, 2)
+                b = g.box
+                box = BoundingBox(b.left + dx, b.top + dy, b.right + dx, b.bottom + dy)
+                dets.append(Detection(box, g.class_id, float(rng.random())))
+            dataset.append((dets, gts))
+        state = update(new_state(config), dataset)
+        assert _bits(finalize(state)) == _bits(dense_finalize(state))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -165,6 +166,19 @@ class TestMerge:
         with pytest.raises(MergeError):
             merge(a, b)
 
+    def test_inputs_unchanged(self, small_config):
+        # merge accumulates in place into a copy; neither input may alias the result
+        a = update(new_state(small_config), random_dataset(41, n_images=3))
+        b = update(new_state(small_config), random_dataset(42, n_images=3))
+        a_before, b_before = a.copy(), b.copy()
+        merged = merge(a, b)
+        for name in ("tp_buckets", "fp_buckets", "gt_counts"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(a_before, name))
+            np.testing.assert_array_equal(getattr(b, name), getattr(b_before, name))
+            np.testing.assert_array_equal(
+                getattr(merged, name), getattr(a, name) + getattr(b, name)
+            )
+
 
 class TestInterpolateAp:
     def test_perfect_detector(self):
@@ -257,6 +271,82 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             load_state(io.BytesIO(b"\x00\x01\x02 not a snapshot\n"))
 
+    def test_pinned_bytes(self):
+        # The snapshot layout is a file format: these bytes must never drift.
+        config = EvalConfig(
+            num_classes=2, buckets=7, iou_thresholds=(0.5, 0.75), max_dets_list=(1, 3)
+        )
+        state = update(new_state(config), [
+            ([make_det(confidence=0.9), make_det(0, 0, 9, 9, confidence=0.5),
+              make_det(20, 20, 40, 40, class_id=1, confidence=0.3)],
+             [make_gt(), make_gt(20, 20, 38, 40, class_id=1)]),
+            ([make_det(100, 100, 150, 150, confidence=1.0)], [make_gt(0, 0, 5, 5, class_id=1)]),
+        ])
+        buf = io.BytesIO()
+        save_state(state, buf)
+        assert len(buf.getvalue()) == 4713
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == (
+            "94ca0b013680df5909f362ba1e70eac12b9f255ab1d7879257889c89946f747e"
+        )
+
+    def test_round_trip_unbuffered_file(self, small_config, tmp_path):
+        state = update(new_state(small_config), random_dataset(14, n_images=3))
+        path = tmp_path / "state.bin"
+        with open(path, "wb", buffering=0) as fh:
+            save_state(state, fh)
+        with open(path, "rb", buffering=0) as fh:
+            loaded = load_state(fh)
+        assert_states_equal(loaded, state)
+
+    def test_round_trip_seven_byte_chunks(self):
+        state = update(new_state(TestLoadStateRejects.CONFIG), [([make_det()], [make_gt()])])
+        want = io.BytesIO()
+        save_state(state, want)
+        stream = SevenByteStream()
+        save_state(state, stream)
+        assert bytes(stream.data) == want.getvalue()
+        assert_states_equal(load_state(SevenByteStream(stream.data)), state)
+
+    def test_stalled_write_raises(self):
+        class Stalled(SevenByteStream):
+            def write(self, b):
+                return 0
+
+        with pytest.raises(ValueError, match="snapshot write made no progress"):
+            save_state(new_state(TestLoadStateRejects.CONFIG), Stalled())
+
+
+class SevenByteStream(io.RawIOBase):
+    """A raw stream that moves at most 7 bytes per read or write call."""
+
+    def __init__(self, data=b""):
+        self.data = bytearray(data)
+        self.pos = 0
+
+    def readable(self):
+        return True
+
+    def writable(self):
+        return True
+
+    def readinto(self, b):
+        chunk = self.data[self.pos : self.pos + min(len(b), 7)]
+        b[: len(chunk)] = chunk
+        self.pos += len(chunk)
+        return len(chunk)
+
+    def write(self, b):
+        chunk = bytes(b[:7])
+        self.data += chunk
+        return len(chunk)
+
+
+def assert_states_equal(got, want):
+    assert got.config.to_dict() == want.config.to_dict()
+    for name in ("tp_buckets", "fp_buckets", "gt_counts"):
+        assert getattr(got, name).dtype == np.int64
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
 
 def test_max_dets_must_increase():
     # the last limit is read as the largest; (100, 10, 1) used to score a
@@ -285,6 +375,13 @@ class TestLoadStateRejects:
 
     def load(self, header: dict, body: bytes):
         return load_state(io.BytesIO(json.dumps(header).encode() + b"\n" + body))
+
+    @pytest.mark.parametrize("stream", [io.BytesIO, SevenByteStream])
+    def test_truncated_body(self, stream):
+        header, body = self.snapshot()
+        data = json.dumps(header).encode() + b"\n" + body[:-1]
+        with pytest.raises(ValueError, match="truncated snapshot while reading gt_counts"):
+            load_state(stream(data))
 
     def test_trailing_bytes(self):
         header, body = self.snapshot()
