@@ -123,14 +123,10 @@ def add_matches(state: BucketedState, matches: Matches) -> BucketedState:
     return state
 
 
-def _require_same_config(a: BucketedState, b: BucketedState) -> None:
-    if a.config.to_dict() != b.config.to_dict():
-        raise MergeError("cannot merge states with differing configs")
-
-
 def merge_into(acc: BucketedState, other: BucketedState) -> BucketedState:
     """Add other's counters into acc in place; returns acc."""
-    _require_same_config(acc, other)
+    if acc.config.to_dict() != other.config.to_dict():
+        raise MergeError("cannot merge states with differing configs")
     for name in _array_shapes(acc.config):
         np.add(getattr(acc, name), getattr(other, name), out=getattr(acc, name))
     return acc
@@ -138,9 +134,7 @@ def merge_into(acc: BucketedState, other: BucketedState) -> BucketedState:
 
 def merge(a: BucketedState, b: BucketedState) -> BucketedState:
     """Elementwise sum of two states with identical configs; a and b are unchanged."""
-    _require_same_config(a, b)
-    sums = {name: getattr(a, name) + getattr(b, name) for name in _array_shapes(a.config)}
-    return BucketedState(config=a.config, **sums)
+    return merge_into(a.copy(), b)
 
 
 def interpolate_ap(
@@ -250,13 +244,9 @@ def finalize(state: BucketedState) -> MetricReport:
     tp = state.tp_buckets[..., -1, ::-1].reshape(-1, cfg.buckets)
     fp = state.fp_buckets[..., -1, ::-1].reshape(-1, cfg.buckets)
     cells, b = np.divmod(np.flatnonzero(np.logical_or(tp, fp)), cfg.buckets)
-    tp_counts = tp[cells, b]
-    tp_totals = np.zeros(state.tp_buckets.shape[:-1], dtype=np.int64)
-    tp_totals[..., :-1] = state.tp_buckets[..., :-1, :].sum(axis=-1)
-    np.add.at(tp_totals[..., -1], np.unravel_index(cells, tp_totals.shape[:-1]), tp_counts)
     bounds = np.searchsorted(cells, np.arange(len(tp) + 1))
-    ap = cell_aps(cfg, state.gt_counts, tp_counts, fp[cells, b], bounds)
-    return metric_report(cfg, state.gt_counts, tp_totals, ap)
+    ap = cell_aps(cfg, state.gt_counts, tp[cells, b], fp[cells, b], bounds)
+    return metric_report(cfg, state.gt_counts, state.tp_buckets.sum(axis=-1), ap)
 
 
 # -- state snapshot serialization -----------------------------------------
