@@ -7,7 +7,9 @@ import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, TextIO
 
 from .bench import run_synth_bench, summarize, synthetic_runs
 from .config import (
@@ -104,7 +106,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         help="comma-separated recall thresholds (default 0.00:0.01:1.00)",
     )
     p.add_argument(
-        "--max-dets", type=_flag_type(lambda t: _list(t, _count)), default=None,
+        "--max-dets", type=_config_field("max_dets_list", lambda t: _list(t, int)),
         dest="max_dets_list", metavar="M1,M2,...",
         help="comma-separated max-detection limits (default 1,10,100)",
     )
@@ -132,6 +134,17 @@ def _write_report(report: MetricReport, fmt: str, out) -> None:
             out.write(f"{METRIC_LABELS[name]:<{width}}  {values[name]:>9.6f}\n")
 
 
+@contextmanager
+def _output(path: str | None, default: TextIO) -> Iterator[TextIO]:
+    """The file at path, opened for writing and closed on exit, or default
+    (left open) when no path is given."""
+    if path:
+        with open(path, "w", newline="") as fh:
+            yield fh
+    else:
+        yield default
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     gt = load_ground_truth(args.ground_truth)
     dataset = load_detections(args.detections, gt)
@@ -145,12 +158,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             with open(args.state_out, "wb") as fh:
                 save_state(state, fh)
         report = finalize(state)
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
+    with _output(args.output, sys.stdout) as out:
         _write_report(report, args.format, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -196,8 +205,7 @@ def _cmd_synth_bench(args: argparse.Namespace) -> int:
         emit_dir.mkdir(parents=True, exist_ok=True)
         _emit_interchange(gt, params, args.image_counts, args.repeats, args.seed, emit_dir)
 
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
-    try:
+    with _output(args.output, sys.stdout) as out:
         writer = csv.writer(out)
         writer.writerow(ROW_COLUMNS)
         for r in rows:
@@ -211,12 +219,8 @@ def _cmd_synth_bench(args: argparse.Namespace) -> int:
                     f"{r.abs_error:.9f}",
                 ]
             )
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
-    summary_out = open(args.summary_output, "w", newline="") if args.summary_output else sys.stderr
-    try:
+    with _output(args.summary_output, sys.stderr) as summary_out:
         writer = csv.writer(summary_out)
         writer.writerow(SUMMARY_COLUMNS)
         for s in summarize(rows):
@@ -230,9 +234,6 @@ def _cmd_synth_bench(args: argparse.Namespace) -> int:
                     f"{s.std_error:.9f}",
                 ]
             )
-    finally:
-        if summary_out not in (sys.stderr, sys.stdout):
-            summary_out.close()
     return 0
 
 

@@ -7,10 +7,12 @@ positive. Area filtering removes both detections and ground truths before
 matching, and max-dets truncation happens after area filtering.
 
 match_image_class is the scalar reference for one grid cell. match_image
-and match_batch serve both evaluation paths: per (class, area) one greedy
-pass at the largest max-dets limit decides every IoU threshold, and the
-result is one columnar Matches record. Each smaller limit is a prefix of
-that match, since greedy matching never revisits an earlier detection.
+and match_batch serve both evaluation paths. match_image runs one
+rank-major greedy loop per image at the largest max-dets limit: step r
+matches the rank-r detection of every (class, area) cell, for every IoU
+threshold at once, against a taken mask per (threshold, area). The result
+is one columnar Matches record. Each smaller limit is a prefix of that
+match, since greedy matching never revisits an earlier detection.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .config import AreaRange, ConfigError, EvalConfig
-from .geometry import Detection, GroundTruth, box_area, iou, strip_padding
+from .geometry import PADDING_CLASS_ID, Detection, GroundTruth, box_area, iou
 
 
 class MatchingError(ValueError):
@@ -118,67 +120,71 @@ class Matches:
         return index[0], index[1]
 
 
-def _join(config: EvalConfig, gt_counts: np.ndarray, blocks: Sequence[tuple]) -> Matches:
-    """One record from (cls, area, rank, confidences, tp) column blocks, in order."""
-    empty = (np.zeros(0, dtype=np.int64),) * 3 + (
-        np.zeros(0),
-        np.zeros((len(config.iou_thresholds), 0), dtype=bool),
-    )
-    columns = [np.concatenate(column, axis=-1) for column in zip(empty, *blocks)]
-    return Matches(config, *columns, gt_counts)
-
-
 def match_image(
     detections: Sequence[Detection],
     ground_truths: Sequence[GroundTruth],
     config: EvalConfig,
 ) -> Matches:
-    """Match one image over every present (class, area) cell.
+    """Match one image over every (class, area) cell in one greedy loop.
 
     Padding entries are stripped internally. Class ids must lie in
     [0, config.num_classes) after stripping. Equivalent, cell by cell, to
-    match_image_class (asserted by tests); the IoU matrix is computed once
-    per class, and one greedy pass per (class, area) serves every IoU
-    threshold.
+    match_image_class (asserted by tests). The IoU matrix is computed once
+    per image. Step r of the loop matches the rank-r detection of every
+    cell, for every IoU threshold at once, against a taken mask per
+    (threshold, area). That is exact: the detections of one rank lie in
+    distinct (class, area) cells, and each may take only ground truths of
+    its own class in its own area, so no two of them compete.
     """
-    dets_by_class: dict[int, list[Detection]] = {}
-    for d in strip_padding(detections):
-        dets_by_class.setdefault(d.class_id, []).append(d)
-    gts_by_class: dict[int, list[GroundTruth]] = {}
-    for g in strip_padding(ground_truths):
-        gts_by_class.setdefault(g.class_id, []).append(g)
+    det_cls = np.array([d.class_id for d in detections], dtype=np.int64)
+    gt_cls = np.array([g.class_id for g in ground_truths], dtype=np.int64)
+    ids = np.concatenate([det_cls, gt_cls])
+    bad = ids[(ids != PADDING_CLASS_ID) & ((ids < 0) | (ids >= config.num_classes))]
+    if bad.size:
+        raise MatchingError(f"class id {bad.min()} outside [0, {config.num_classes})")
+    real_det = det_cls != PADDING_CLASS_ID
+    real_gt = gt_cls != PADDING_CLASS_ID
+    confs = np.array([d.confidence for d in detections], dtype=float)[real_det]
+    det_cls = det_cls[real_det]
+    order = np.lexsort((-confs, det_cls))  # stable: ties keep input order
+    det_cls, confs = det_cls[order], confs[order]
+    det_boxes = _box_array(detections)[real_det][order]
+    gt_cls, gt_boxes = gt_cls[real_gt], _box_array(ground_truths)[real_gt]
 
-    top = config.max_dets_list[-1]
-    thetas = np.array(config.iou_thresholds)
-    gt_counts = np.zeros((config.num_classes, len(config.area_ranges)), dtype=np.int64)
-    blocks = []
-    for k in sorted(set(dets_by_class) | set(gts_by_class)):
-        if not (0 <= k < config.num_classes):
-            raise MatchingError(f"class id {k} outside [0, {config.num_classes})")
-        dets = sorted(dets_by_class.get(k, []), key=lambda d: -d.confidence)
-        confs = np.array([d.confidence for d in dets], dtype=float)
-        det_boxes = _box_array(dets)
-        gt_boxes = _box_array(gts_by_class.get(k, []))
-        det_areas = _areas(det_boxes)
-        gt_areas = _areas(gt_boxes)
-        ious = _iou_matrix(det_boxes, gt_boxes)
-        for a_idx, (_, area) in enumerate(config.area_ranges):
-            rows = np.nonzero(
-                (det_areas >= area.min_area) & (det_areas < area.max_area)
-            )[0][:top]
-            cols = np.nonzero(
-                (gt_areas >= area.min_area) & (gt_areas < area.max_area)
-            )[0]
-            gt_counts[k, a_idx] = len(cols)
-            n = len(rows)
-            blocks.append((
-                np.full(n, k, dtype=np.int64),
-                np.full(n, a_idx, dtype=np.int64),
-                np.arange(n, dtype=np.int64),
-                confs[rows],
-                _greedy_tp(ious[np.ix_(rows, cols)], thetas),
-            ))
-    return _join(config, gt_counts, blocks)
+    lo, hi = np.array([(r.min_area, r.max_area) for _, r in config.area_ranges]).T[..., None]
+    det_areas, gt_areas = _areas(det_boxes), _areas(gt_boxes)
+    gt_in = (gt_areas >= lo) & (gt_areas < hi)  # (areas, gts)
+    a_in, g_in = np.nonzero(gt_in)
+    areas = len(config.area_ranges)
+    gt_counts = np.bincount(
+        gt_cls[g_in] * areas + a_in, minlength=config.num_classes * areas
+    ).reshape(config.num_classes, areas)
+
+    # Columns in (area, class, rank) order: detections are sorted by class,
+    # so each cell's detections are one run of consecutive columns.
+    area, det = np.nonzero((det_areas >= lo) & (det_areas < hi))
+    cell = area * config.num_classes + det_cls[det]
+    rank = np.arange(len(cell)) - np.searchsorted(cell, cell)
+    keep = rank < config.max_dets_list[-1]
+    area, det, rank = area[keep], det[keep], rank[keep]
+    cls = det_cls[det]
+
+    thetas = np.array(config.iou_thresholds)[:, None]
+    tp = np.zeros((len(thetas), len(det)), dtype=bool)
+    taken = np.zeros((len(thetas), areas, len(gt_cls)), dtype=bool)
+    eligible = (gt_cls == cls[:, None]) & gt_in[area]
+    ious = np.where(eligible, _iou_matrix(det_boxes, gt_boxes)[det], -1.0)
+    for r in range(rank.max(initial=-1) + 1 if len(gt_cls) else 0):
+        at = np.nonzero(rank == r)[0]
+        avail = np.where(taken[:, area[at]], -1.0, ious[at])  # (thetas, cells, gts)
+        best = avail.argmax(axis=-1)  # first max: lowest gt index wins ties
+        hit = avail.max(axis=-1) >= thetas
+        t, c = np.nonzero(hit)
+        taken[t, area[at[c]], best[t, c]] = True
+        tp[:, at] = hit
+
+    col = np.lexsort((area, cls))  # stable: (class, area, rank) order
+    return Matches(config, cls[col], area[col], rank[col], confs[det][col], tp[:, col], gt_counts)
 
 
 def match_batch(
@@ -191,9 +197,13 @@ def match_batch(
         (r.gt_counts for r in records),
         np.zeros((config.num_classes, len(config.area_ranges)), dtype=np.int64),
     )
-    return _join(
-        config, gt_counts, [(r.cls, r.area, r.rank, r.confidences, r.tp) for r in records]
+    empty = (np.zeros(0, dtype=np.int64),) * 3 + (
+        np.zeros(0),
+        np.zeros((len(config.iou_thresholds), 0), dtype=bool),
     )
+    blocks = [(r.cls, r.area, r.rank, r.confidences, r.tp) for r in records]
+    columns = [np.concatenate(column, axis=-1) for column in zip(empty, *blocks)]
+    return Matches(config, *columns, gt_counts)
 
 
 def _box_array(items: Sequence[Detection] | Sequence[GroundTruth]) -> np.ndarray:
@@ -218,21 +228,3 @@ def _iou_matrix(db: np.ndarray, gb: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
     return out
-
-
-def _greedy_tp(ious: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """(|Theta|, n_det) TP flags from one greedy pass over a (dets x gts) IoU
-    matrix, rows in match order, with one set of taken gts per threshold."""
-    n_det, n_gt = ious.shape
-    tp = np.zeros((len(thetas), n_det), dtype=bool)
-    if n_gt == 0:
-        return tp
-    taken = np.zeros((len(thetas), n_gt), dtype=bool)
-    per_theta = np.arange(len(thetas))
-    for r in range(n_det):
-        avail = np.where(taken, -1.0, ious[r])
-        j = np.argmax(avail, axis=1)  # first max: lowest gt index wins ties
-        hit = avail[per_theta, j] >= thetas
-        taken[per_theta[hit], j[hit]] = True
-        tp[:, r] = hit
-    return tp

@@ -153,6 +153,21 @@ class TestMatchImage:
         assert verdict_flags(cell_result(matches, 0, 0, 0, 2)) == [True, False]
         assert verdict_flags(cell_result(matches, 0, 1, 0, 2)) == [False, True]
 
+    def test_ground_truth_taken_per_area(self):
+        # In area "all" the large first detection claims the medium gt. Area
+        # "medium" filters that detection out, so the gt is still free there
+        # for the medium cell's rank-1 detection.
+        cfg = EvalConfig(num_classes=1)
+        dets = [
+            make_det(0, 0, 96, 96, confidence=0.9),  # large, IoU 0.88
+            make_det(200, 200, 250, 250, confidence=0.8),  # medium, no overlap
+            make_det(0, 0, 90, 80, confidence=0.7),  # medium, IoU 0.89
+        ]
+        matches = match_image(dets, [make_gt(0, 0, 90, 90)], cfg)
+        medium = cfg.area_index("medium")
+        assert verdict_flags(cell_result(matches, 0, 0, 0, 2)) == [True, False, False]
+        assert verdict_flags(cell_result(matches, 0, 0, medium, 2)) == [False, True]
+
     def test_out_of_range_class_rejected(self, small_config):
         with pytest.raises(MatchingError):
             match_image([make_det(class_id=99, confidence=0.5)], [], small_config)
