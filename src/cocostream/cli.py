@@ -31,7 +31,7 @@ from .ingest import (
     load_ground_truth,
 )
 from .oracle import evaluate_exact
-from .streaming import MergeError, finalize, load_state, merge_into, new_state, save_state, update
+from .streaming import MergeError, finalize, load_state, new_state, save_state, update
 
 ROW_COLUMNS = (
     "metric_name",
@@ -168,12 +168,8 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     prev_path = None
     for path in args.states:
         with open(path, "rb") as fh:
-            state = load_state(fh)
-        if merged is None:
-            merged = state
-        else:
             try:
-                merge_into(merged, state)
+                merged = load_state(fh, into=merged)
             except MergeError:
                 raise MergeError(f"config mismatch between {prev_path} and {path}")
         prev_path = path

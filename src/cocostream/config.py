@@ -134,17 +134,49 @@ class EvalConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalConfig":
+        """Inverse of to_dict. A value of the wrong JSON type raises
+        ConfigError naming config.<key>; nothing is truncated or coerced."""
+
+        def field(key: str, ok, kind: str):
+            value = d[key]
+            if not ok(value):
+                raise ConfigError(f"config.{key}: expected {kind}, got {value!r}")
+            return value
+
+        def items(key: str, ok, kind: str) -> list:
+            return field(
+                key, lambda v: isinstance(v, list) and all(map(ok, v)), f"a list of {kind}"
+            )
+
         return cls(
-            num_classes=int(d["num_classes"]),
-            iou_thresholds=tuple(float(t) for t in d["iou_thresholds"]),
-            recall_thresholds=tuple(float(r) for r in d["recall_thresholds"]),
-            buckets=int(d["buckets"]),
+            num_classes=field("num_classes", _is_int, "an integer"),
+            iou_thresholds=tuple(map(float, items("iou_thresholds", _is_number, "numbers"))),
+            recall_thresholds=tuple(map(float, items("recall_thresholds", _is_number, "numbers"))),
+            buckets=field("buckets", _is_int, "an integer"),
             area_ranges=tuple(
                 (name, AreaRange(float(lo), math.inf if hi is None else float(hi)))
-                for name, lo, hi in d["area_ranges"]
+                for name, lo, hi in items("area_ranges", _is_area_entry, "[name, min, max or null]")
             ),
-            max_dets_list=tuple(int(m) for m in d["max_dets_list"]),
+            max_dets_list=tuple(items("max_dets_list", _is_int, "integers")),
         )
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_area_entry(v) -> bool:
+    return (
+        isinstance(v, list)
+        and len(v) == 3
+        and isinstance(v[0], str)
+        and _is_number(v[1])
+        and (v[2] is None or _is_number(v[2]))
+    )
 
 
 def _require_strictly_increasing(name: str, values: Sequence[float]) -> None:

@@ -251,33 +251,48 @@ def finalize(state: BucketedState) -> MetricReport:
 
 # -- state snapshot serialization -----------------------------------------
 #
-# Layout: one JSON header line (config, array shapes/dtypes) followed by the
-# raw little-endian array bytes in header order. Deterministic bytes, so
-# merge outputs are grouping-independent and single-input merges are copies.
+# Layout: one JSON header line (format, config, and each array's name,
+# shape, dtype and non-zero count n, sorted keys), then for each array in
+# header order its n flat C-order indices, strictly increasing, followed by
+# their n counts, each >= 1; all little-endian int64. Only non-zero counters
+# are stored and equal states give equal bytes, so merge outputs are
+# grouping-independent and single-input merges are copies.
 
-_MAGIC = "cocostream-state/1"
+_MAGIC = "cocostream-state/2"
 
 
 def save_state(state: BucketedState, fp: BinaryIO) -> None:
     names = list(_array_shapes(state.config))
+    flat = {name: getattr(state, name).reshape(-1) for name in names}
+    nonzero = {name: np.flatnonzero(values) for name, values in flat.items()}
     header = {
         "format": _MAGIC,
         "config": state.config.to_dict(),
         "arrays": [
-            {"name": name, "shape": list(getattr(state, name).shape), "dtype": "<i8"}
+            {
+                "name": name,
+                "shape": list(getattr(state, name).shape),
+                "dtype": "<i8",
+                "nonzero": len(nonzero[name]),
+            }
             for name in names
         ],
     }
     stalled = "snapshot write made no progress"
     _transfer(fp.write, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n", stalled)
     for name in names:
-        _transfer(fp.write, np.ascontiguousarray(getattr(state, name), dtype="<i8"), stalled)
+        idx = nonzero[name]
+        _transfer(fp.write, idx.astype("<i8", copy=False), stalled)
+        _transfer(fp.write, flat[name][idx].astype("<i8", copy=False), stalled)
 
 
 def _transfer(io_call, buffer, error: str) -> None:
     """Call fp.write or fp.readinto until all of buffer has moved (a raw
     stream may move fewer bytes per call); raise ValueError(error) on a stall."""
-    view = memoryview(buffer).cast("B")
+    view = memoryview(buffer)
+    if not view.nbytes:
+        return
+    view = view.cast("B")
     while view:
         moved = io_call(view)
         if not moved:
@@ -285,8 +300,14 @@ def _transfer(io_call, buffer, error: str) -> None:
         view = view[moved:]
 
 
-def load_state(fp: BinaryIO) -> BucketedState:
-    """Read a snapshot, rejecting any that save_state could not have written."""
+def load_state(fp: BinaryIO, into: BucketedState | None = None) -> BucketedState:
+    """Read a snapshot and add its counters into `into`, or into a new
+    all-zero state; returns that state.
+
+    Rejects any snapshot that save_state could not have written. The whole
+    snapshot is read and checked before any counter is written, so on an
+    error `into` is unchanged; a config other than into's raises MergeError.
+    """
     header_line = fp.readline()
     try:
         header = json.loads(header_line.decode("utf-8"))
@@ -299,6 +320,8 @@ def load_state(fp: BinaryIO) -> BucketedState:
     try:
         config = EvalConfig.from_dict(header["config"])
         specs = header["arrays"]
+        nonzero = [spec["nonzero"] for spec in specs]
+        specs = [{k: v for k, v in spec.items() if k != "nonzero"} for spec in specs]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed snapshot header: {exc!r}") from exc
     shapes = _array_shapes(config)
@@ -309,14 +332,32 @@ def load_state(fp: BinaryIO) -> BucketedState:
         raise ValueError(
             f"snapshot arrays do not match its config: expected {expected}, got {specs}"
         )
-    arrays = {}
-    for name, shape in shapes.items():
-        arr = np.empty(shape, dtype="<i8")
-        _transfer(fp.readinto, arr, f"truncated snapshot while reading {name}")
-        arr = arr.astype(np.int64, copy=False)  # native order on big-endian hosts
-        if arr.min() < 0:
+    if into is not None and into.config.to_dict() != config.to_dict():
+        raise MergeError("cannot merge states with differing configs")
+    entries = {}
+    for (name, shape), n in zip(shapes.items(), nonzero):
+        size = int(np.prod(shape))
+        if not (isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= size):
+            raise ValueError(
+                f"snapshot array {name}: nonzero must be an int in [0, {size}], got {n!r}"
+            )
+        idx, counts = np.empty(n, dtype="<i8"), np.empty(n, dtype="<i8")
+        _transfer(fp.readinto, idx, f"truncated snapshot while reading {name} indices")
+        _transfer(fp.readinto, counts, f"truncated snapshot while reading {name} counts")
+        if n and not (idx[0] >= 0 and idx[-1] < size and (np.diff(idx) > 0).all()):
+            raise ValueError(
+                f"snapshot array {name}: indices must be strictly increasing in [0, {size})"
+            )
+        low = counts.min(initial=1)
+        if low < 0:
             raise ValueError(f"negative counter in snapshot array {name}")
-        arrays[name] = arr
+        if low == 0:
+            raise ValueError(f"non-canonical snapshot: stored zero counter in array {name}")
+        entries[name] = idx, counts
     if fp.read(1):
         raise ValueError("trailing bytes after snapshot arrays")
-    return BucketedState(config=config, **arrays)
+    state = new_state(config) if into is None else into
+    for name, (idx, counts) in entries.items():
+        target = getattr(state, name)
+        target[np.unravel_index(idx, target.shape)] += counts
+    return state

@@ -1,10 +1,11 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
-from cocostream import finalize, load_state, new_state, save_state, update
+from cocostream import EvalConfig, finalize, load_state, new_state, save_state, update
 from cocostream.cli import main
 
 from conftest import GOLDEN_METRICS, random_dataset
@@ -135,6 +136,33 @@ class TestMerge:
         save_state(update(new_state(small_config), [p for shard in shards for p in shard]), whole)
         assert outputs[0] == outputs[1] == whole.getvalue()
 
+    def test_bad_last_snapshot_writes_no_output(self, golden_paths, tmp_path, capsys):
+        good = [self._make_state(golden_paths, tmp_path, f"good{i}.bin") for i in (1, 2)]
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(good[0].read_bytes()[:-1])
+        out = tmp_path / "merged.bin"
+        assert run_cli("merge", *good, bad, "--output", out) == 2
+        assert "truncated snapshot" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_merge_holds_one_state(self, tmp_path):
+        # Each snapshot is added into the first one as it is read, so the
+        # peak is one dense state plus the small sparse entries.
+        config = EvalConfig(num_classes=1)
+        paths = [tmp_path / f"shard{seed}.bin" for seed in range(4)]
+        for seed, path in enumerate(paths):
+            state = update(new_state(config), random_dataset(seed, n_images=2, num_classes=1))
+            with path.open("wb") as fh:
+                save_state(state, fh)
+        nbytes = sum(a.nbytes for a in (state.tp_buckets, state.fp_buckets, state.gt_counts))
+        tracemalloc.start()
+        try:
+            assert run_cli("merge", *paths, "--output", tmp_path / "merged.bin") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * nbytes
+
     def test_config_mismatch_fails(self, golden_paths, tmp_path, capsys):
         a = self._make_state(golden_paths, tmp_path, "a.bin")
         b = self._make_state(golden_paths, tmp_path, "b.bin", max_dets="1,5")
@@ -258,6 +286,35 @@ class TestBadInputExitsCleanly:
         assert run_cli("evaluate", gt, bad) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "results[1]: missing 'bbox'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("num_classes", 2.5),
+            ("buckets", True),
+            ("buckets", "7"),
+            ("max_dets_list", [1.9, 3]),
+            ("iou_thresholds", ["0.5"]),
+            ("recall_thresholds", 0.5),
+            ("area_ranges", [["all", 0.0]]),
+            ("area_ranges", [["all", "0", None]]),
+            ("area_ranges", [[1, 0.0, None]]),
+        ],
+    )
+    def test_merge_snapshot_with_mistyped_config(self, golden_paths, tmp_path, capsys, key, value):
+        # a value of the wrong JSON type is rejected, never truncated or coerced
+        gt, det = golden_paths
+        good = tmp_path / "good.state"
+        assert run_cli("evaluate", gt, det, "--output", tmp_path / "r.txt", "--state-out", good) == 0
+        header, body = good.read_bytes().split(b"\n", 1)
+        doc = json.loads(header)
+        doc["config"][key] = value
+        bad = tmp_path / "bad.state"
+        bad.write_bytes(json.dumps(doc).encode() + b"\n" + body)
+        assert run_cli("merge", bad, "--output", tmp_path / "m.state") == 2
+        err = capsys.readouterr().err
+        assert f"error: config.{key}: expected" in err
         assert "Traceback" not in err
 
     def test_merge_snapshot_without_arrays(self, golden_paths, tmp_path, capsys):

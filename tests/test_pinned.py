@@ -41,7 +41,7 @@ PINNED = {
     "finalize": "7d2234c42d1589088a1889aa823cb0d4e36472cfdd1d42cece55eb4a260496b1",
     "evaluate_exact": "42e4dbc0c89644456280e728d9f01f1399ad6a4aafe387a5db529b124e162a9e",
     "run_synth_bench": "3713143ba866081d1f702c3452af7b18aa3040307fc61bf1499c70b2674f1586",
-    "save_state": "ba10891cf501d637c54b921745d9af9f6df025b0c79e6b76d8cf3022a5341018",
+    "save_state": "8dc58eb0a8f72e4829920a0536c160ce8c316ef3802e01e99f351b8e57f45e0e",
 }
 
 

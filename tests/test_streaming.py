@@ -1,10 +1,14 @@
+import dataclasses
 import hashlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cocostream import (
     AreaRange,
@@ -23,7 +27,7 @@ from cocostream import (
 )
 from cocostream.config import METRIC_NAMES
 from cocostream.matching import match_batch
-from cocostream.streaming import add_matches
+from cocostream.streaming import add_matches, merge_into
 
 from conftest import make_det, make_gt, random_dataset
 
@@ -284,9 +288,9 @@ class TestSnapshot:
         ])
         buf = io.BytesIO()
         save_state(state, buf)
-        assert len(buf.getvalue()) == 4713
+        assert len(buf.getvalue()) == 1621
         assert hashlib.sha256(buf.getvalue()).hexdigest() == (
-            "94ca0b013680df5909f362ba1e70eac12b9f255ab1d7879257889c89946f747e"
+            "6aa528f33e4d72c3ed9fa73bbf7b1fb68fa4a10a4a538d49729c63ac2bbd9926"
         )
 
     def test_round_trip_unbuffered_file(self, small_config, tmp_path):
@@ -348,6 +352,59 @@ def assert_states_equal(got, want):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
+SNAPSHOT_CONFIGS = (
+    EvalConfig(
+        num_classes=1,
+        buckets=4,
+        iou_thresholds=(0.5,),
+        max_dets_list=(10,),
+        area_ranges=(("all", AreaRange(0.0, math.inf)),),
+    ),
+    EvalConfig(num_classes=2, buckets=7, iou_thresholds=(0.5, 0.75), max_dets_list=(1, 3)),
+    EvalConfig(num_classes=1),  # the default grid: 10,000 buckets
+)
+
+
+@st.composite
+def states(draw, config):
+    """A state of config: all zero, one array full, or a random few counters
+    per array, with counts up to 2**61 so that two states still add exactly."""
+    state = new_state(config)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fill = draw(st.sampled_from(["zero", "full", "sparse"]))
+    arrays = [a.reshape(-1) for a in (state.tp_buckets, state.fp_buckets, state.gt_counts)]
+    if fill == "full":
+        flat = draw(st.sampled_from([a for a in arrays if a.size <= 10_000]))
+        flat[:] = rng.integers(1, 2**61, size=flat.size)
+    elif fill == "sparse":
+        for flat in arrays:
+            k = draw(st.integers(0, min(flat.size, 64)))
+            flat[rng.choice(flat.size, size=k, replace=False)] = rng.integers(1, 2**61, size=k)
+    return state
+
+
+def _snapshot(state) -> bytes:
+    buf = io.BytesIO()
+    save_state(state, buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_snapshot_round_trip_is_lossless_canonical_and_adds_in_place(data):
+    config = data.draw(st.sampled_from(SNAPSHOT_CONFIGS))
+    state, acc = data.draw(states(config)), data.draw(states(config))
+    blob = _snapshot(state)
+    assert _snapshot(state.copy()) == blob
+    for stream in (io.BytesIO, SevenByteStream):
+        loaded = load_state(stream(blob))
+        assert_states_equal(loaded, state)
+        assert _snapshot(loaded) == blob
+    want = merge_into(acc.copy(), state)
+    assert load_state(io.BytesIO(blob), into=acc) is acc
+    assert_states_equal(acc, want)
+
+
 def test_max_dets_must_increase():
     # the last limit is read as the largest; (100, 10, 1) used to score a
     # perfect image at MaP 0.505
@@ -373,8 +430,104 @@ class TestLoadStateRejects:
         header, body = buf.getvalue().split(b"\n", 1)
         return json.loads(header), body
 
-    def load(self, header: dict, body: bytes):
-        return load_state(io.BytesIO(json.dumps(header).encode() + b"\n" + body))
+    def raw(self, **entries) -> tuple[dict, bytes]:
+        """A CONFIG snapshot whose arrays hold the given (indices, counts)
+        lists as written, whether or not save_state could have written them."""
+        header, _ = self.snapshot()
+        body = b""
+        for spec in header["arrays"]:
+            indices, counts = entries.get(spec["name"], ([], []))
+            spec["nonzero"] = len(indices)
+            body += np.array(indices, "<i8").tobytes() + np.array(counts, "<i8").tobytes()
+        return header, body
+
+    def load(self, header: dict, body: bytes, into=None):
+        return load_state(io.BytesIO(json.dumps(header).encode() + b"\n" + body), into=into)
+
+    def test_raw_snapshot_loads(self):
+        state = self.load(*self.raw(tp_buckets=([1, 3], [2, 5]), gt_counts=([0], [7])))
+        assert state.tp_buckets.ravel().tolist() == [0, 2, 0, 5]
+        assert not state.fp_buckets.any()
+        assert state.gt_counts.tolist() == [[7]]
+
+    @pytest.mark.parametrize(
+        "indices", [[3, 1], [1, 1], [0, 4], [-1, 2]],
+        ids=["unsorted", "duplicate", "past-the-end", "negative"],
+    )
+    def test_bad_indices(self, indices):
+        header, body = self.raw(fp_buckets=(indices, [1, 1]))
+        with pytest.raises(ValueError, match="fp_buckets: indices must be strictly increasing"):
+            self.load(header, body)
+
+    def test_stored_zero(self):
+        header, body = self.raw(tp_buckets=([1, 2], [3, 0]))
+        with pytest.raises(ValueError, match="stored zero counter in array tp_buckets"):
+            self.load(header, body)
+
+    @pytest.mark.parametrize("nonzero", [True, -1, 5, 1.0, "1"])
+    def test_bad_nonzero(self, nonzero):
+        # tp_buckets holds 4 counters, so 5 is size + 1
+        header, body = self.raw()
+        header["arrays"][0]["nonzero"] = nonzero
+        with pytest.raises(ValueError, match=r"tp_buckets: nonzero must be an int in \[0, 4\]"):
+            self.load(header, body)
+
+    def test_missing_nonzero(self):
+        header, body = self.raw()
+        del header["arrays"][1]["nonzero"]
+        with pytest.raises(ValueError, match="malformed snapshot header"):
+            self.load(header, body)
+
+    def test_dense_v1_snapshot(self):
+        header, body = self.snapshot()
+        header["format"] = "cocostream-state/1"
+        error = re.escape("unsupported snapshot format: 'cocostream-state/1'")
+        with pytest.raises(ValueError, match=error):
+            self.load(header, body)
+
+    @pytest.mark.parametrize("stream", [io.BytesIO, SevenByteStream])
+    @pytest.mark.parametrize("keep, block", [(12, "indices"), (20, "counts")])
+    def test_truncated_inside_a_block(self, stream, keep, block):
+        # tp_buckets stores 16 bytes of indices, then 16 bytes of counts
+        header, body = self.raw(tp_buckets=([1, 3], [2, 5]))
+        data = json.dumps(header).encode() + b"\n" + body[:keep]
+        with pytest.raises(ValueError, match=f"while reading tp_buckets {block}"):
+            load_state(stream(data))
+
+    @pytest.mark.parametrize(
+        "entries, error",
+        [
+            ({"gt_counts": ([0], [0])}, "stored zero counter in array gt_counts"),
+            ({"gt_counts": ([0], [-3])}, "negative counter in snapshot array gt_counts"),
+            ({"gt_counts": ([1], [1])}, "gt_counts: indices must be strictly increasing"),
+        ],
+    )
+    def test_corrupt_last_array_leaves_into_unchanged(self, entries, error):
+        dets = [make_det(), make_det(confidence=0.1)]
+        acc = update(new_state(self.CONFIG), [(dets, [make_gt()])])
+        before = acc.copy()
+        header, body = self.raw(tp_buckets=([1, 3], [2, 5]), fp_buckets=([0], [1]), **entries)
+        with pytest.raises(ValueError, match=error):
+            self.load(header, body, into=acc)
+        assert_states_equal(acc, before)
+
+    def test_truncated_or_trailing_leaves_into_unchanged(self):
+        acc = update(new_state(self.CONFIG), [([make_det()], [make_gt()])])
+        before = acc.copy()
+        header, body = self.raw(tp_buckets=([1, 3], [2, 5]), gt_counts=([0], [1]))
+        for bad in (body[:-1], body + b"\x00"):
+            with pytest.raises(ValueError):
+                self.load(header, bad, into=acc)
+        assert_states_equal(acc, before)
+
+    def test_config_mismatch_leaves_into_unchanged(self):
+        other = dataclasses.replace(self.CONFIG, buckets=5)
+        acc = update(new_state(other), [([make_det()], [make_gt()])])
+        before = acc.copy()
+        header, body = self.snapshot()
+        with pytest.raises(MergeError, match="differing configs"):
+            self.load(header, body, into=acc)
+        assert_states_equal(acc, before)
 
     @pytest.mark.parametrize("stream", [io.BytesIO, SevenByteStream])
     def test_truncated_body(self, stream):
