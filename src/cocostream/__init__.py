@@ -13,7 +13,7 @@ from .ingest import (
     perturb,
     sample_images,
 )
-from .matching import MatchResult, MatchingError, match_image, match_image_class
+from .matching import MatchingError, match_image
 from .oracle import evaluate_exact
 from .streaming import (
     BucketedState,
@@ -38,7 +38,6 @@ __all__ = [
     "EvalConfig",
     "GroundTruth",
     "ImageRecord",
-    "MatchResult",
     "MatchingError",
     "MergeError",
     "MetricReport",
@@ -56,7 +55,6 @@ __all__ = [
     "load_ground_truth",
     "load_state",
     "match_image",
-    "match_image_class",
     "merge",
     "new_state",
     "perturb",

@@ -8,23 +8,15 @@ import json
 import math
 import sys
 from contextlib import contextmanager
+from dataclasses import astuple, fields
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
-from .bench import run_synth_bench, summarize, synthetic_runs
-from .config import (
-    METRIC_LABELS,
-    METRIC_NAMES,
-    AreaRange,
-    ConfigError,
-    EvalConfig,
-    MetricReport,
-)
+from .bench import ErrorMarginRow, MetricSummary, run_synth_bench, summarize, synthetic_runs
+from .config import METRIC_LABELS, METRIC_NAMES, AreaRange, EvalConfig, MetricReport
 from .ingest import (
     Dataset,
-    ParseError,
     PerturbationParams,
-    ValidationError,
     dataset_to_annotation_doc,
     dataset_to_results_doc,
     load_detections,
@@ -32,17 +24,6 @@ from .ingest import (
 )
 from .oracle import evaluate_exact
 from .streaming import MergeError, finalize, load_state, new_state, save_state, update
-
-ROW_COLUMNS = (
-    "metric_name",
-    "n_images",
-    "run_index",
-    "streaming_value",
-    "exact_value",
-    "abs_error",
-)
-SUMMARY_COLUMNS = ("metric_name", "n_runs", "min_error", "max_error", "mean_error", "std_error")
-
 
 def _flag_type(parse):
     """An argparse type= callable: a ValueError from parse is printed after
@@ -134,6 +115,19 @@ def _write_report(report: MetricReport, fmt: str, out) -> None:
             out.write(f"{METRIC_LABELS[name]:<{width}}  {values[name]:>9.6f}\n")
 
 
+def _columns(kind) -> list[str]:
+    return [f.name for f in fields(kind)]
+
+
+def _write_records(out: TextIO, kind, records: Iterable) -> None:
+    """CSV of dataclass records under a header of kind's field names;
+    floats are written with 9 decimals."""
+    writer = csv.writer(out)
+    writer.writerow(_columns(kind))
+    for r in records:
+        writer.writerow(f"{v:.9f}" if isinstance(v, float) else v for v in astuple(r))
+
+
 @contextmanager
 def _output(path: str | None, default: TextIO) -> Iterator[TextIO]:
     """The file at path, opened for writing and closed on exit, or default
@@ -202,34 +196,9 @@ def _cmd_synth_bench(args: argparse.Namespace) -> int:
         _emit_interchange(gt, params, args.image_counts, args.repeats, args.seed, emit_dir)
 
     with _output(args.output, sys.stdout) as out:
-        writer = csv.writer(out)
-        writer.writerow(ROW_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.metric_name,
-                    r.n_images,
-                    r.run_index,
-                    f"{r.streaming_value:.9f}",
-                    f"{r.exact_value:.9f}",
-                    f"{r.abs_error:.9f}",
-                ]
-            )
-
-    with _output(args.summary_output, sys.stderr) as summary_out:
-        writer = csv.writer(summary_out)
-        writer.writerow(SUMMARY_COLUMNS)
-        for s in summarize(rows):
-            writer.writerow(
-                [
-                    s.metric_name,
-                    s.n_runs,
-                    f"{s.min_error:.9f}",
-                    f"{s.max_error:.9f}",
-                    f"{s.mean_error:.9f}",
-                    f"{s.std_error:.9f}",
-                ]
-            )
+        _write_records(out, ErrorMarginRow, rows)
+    with _output(args.summary_output, sys.stderr) as out:
+        _write_records(out, MetricSummary, summarize(rows))
     return 0
 
 
@@ -280,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "synth-bench",
         help="streaming-vs-exact error margins on synthetic perturbed predictions; "
-        "rows CSV columns: " + ",".join(ROW_COLUMNS),
+        "rows CSV columns: " + ",".join(_columns(ErrorMarginRow)),
     )
     p_bench.add_argument("ground_truth", help="annotation JSON to sample from")
     p_bench.add_argument(
@@ -296,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--output", default=None, help="rows CSV path (default stdout)")
     p_bench.add_argument(
         "--summary-output", default=None,
-        help="summary CSV path (default stderr); columns: " + ",".join(SUMMARY_COLUMNS),
+        help="summary CSV path (default stderr); columns: " + ",".join(_columns(MetricSummary)),
     )
     p_bench.add_argument(
         "--emit-json", default=None, metavar="DIR",
@@ -312,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, ConfigError, MergeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -120,13 +120,15 @@ class EvalConfig:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
+        """Thresholds and area bounds are written as floats, as from_dict
+        reads them, so to_dict(from_dict(to_dict())) equals to_dict()."""
         return {
             "num_classes": self.num_classes,
-            "iou_thresholds": list(self.iou_thresholds),
-            "recall_thresholds": list(self.recall_thresholds),
+            "iou_thresholds": [float(t) for t in self.iou_thresholds],
+            "recall_thresholds": [float(r) for r in self.recall_thresholds],
             "buckets": self.buckets,
             "area_ranges": [
-                [name, r.min_area, None if math.isinf(r.max_area) else r.max_area]
+                [name, float(r.min_area), None if math.isinf(r.max_area) else float(r.max_area)]
                 for name, r in self.area_ranges
             ],
             "max_dets_list": list(self.max_dets_list),
@@ -185,21 +187,6 @@ def _require_strictly_increasing(name: str, values: Sequence[float]) -> None:
             raise ConfigError(f"{name} must be strictly increasing, got {list(values)}")
 
 
-METRIC_NAMES = (
-    "map_standard",
-    "map_50",
-    "map_75",
-    "map_small",
-    "map_medium",
-    "map_large",
-    "recall_maxdets_1",
-    "recall_maxdets_10",
-    "recall_maxdets_100",
-    "recall_small",
-    "recall_medium",
-    "recall_large",
-)
-
 METRIC_LABELS = {
     "map_standard": "Standard MaP",
     "map_50": "MaP IoU=0.5",
@@ -214,6 +201,8 @@ METRIC_LABELS = {
     "recall_medium": "Recall Medium Objects",
     "recall_large": "Recall Large Objects",
 }
+
+METRIC_NAMES = tuple(METRIC_LABELS)
 
 
 @dataclass(frozen=True)

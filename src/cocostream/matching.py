@@ -6,9 +6,8 @@ highest IoU when that IoU reaches the threshold; otherwise it is a false
 positive. Area filtering removes both detections and ground truths before
 matching, and max-dets truncation happens after area filtering.
 
-match_image_class is the scalar reference for one grid cell. match_image
-and match_batch serve both evaluation paths. match_image runs one
-rank-major greedy loop per image at the largest max-dets limit: step r
+match_image and match_batch serve both evaluation paths. match_image runs
+one rank-major greedy loop per image at the largest max-dets limit: step r
 matches the rank-r detection of every (class, area) cell, for every IoU
 threshold at once, against a taken mask per (threshold, area). The result
 is one columnar Matches record. Each smaller limit is a prefix of that
@@ -22,74 +21,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import AreaRange, ConfigError, EvalConfig
-from .geometry import PADDING_CLASS_ID, Detection, GroundTruth, box_area, iou
+from .config import EvalConfig
+from .geometry import PADDING_CLASS_ID, Detection, GroundTruth
 
 
 class MatchingError(ValueError):
-    """Inputs violate the matching contract (e.g. mixed class ids)."""
-
-
-@dataclass(frozen=True)
-class Verdict:
-    confidence: float
-    is_tp: bool
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """TP/FP verdicts for one (image, class, theta, area, max-dets) cell.
-
-    Verdicts are ordered by descending confidence; gt_count is the number
-    of ground truths that survived the area filter.
-    """
-
-    verdicts: tuple[Verdict, ...]
-    gt_count: int
-
-
-
-def match_image_class(
-    detections: Sequence[Detection],
-    ground_truths: Sequence[GroundTruth],
-    theta: float,
-    max_dets: int,
-    area: AreaRange,
-) -> MatchResult:
-    """Greedy-match one class's detections against its ground truths."""
-    if not (0.0 < theta <= 1.0):
-        raise ConfigError(f"IoU threshold outside (0, 1]: {theta}")
-    if max_dets < 1:
-        raise ConfigError(f"max_dets must be >= 1, got {max_dets}")
-    class_ids = {d.class_id for d in detections} | {g.class_id for g in ground_truths}
-    if len(class_ids) > 1:
-        raise MatchingError(f"mixed class ids in one matching call: {sorted(class_ids)}")
-    if -1 in class_ids:
-        raise MatchingError("padding entries must be stripped before matching")
-
-    gts = [g for g in ground_truths if area.contains(box_area(g.box))]
-    dets = [d for d in detections if area.contains(box_area(d.box))]
-    dets.sort(key=lambda d: -d.confidence)  # stable: ties keep input order
-    dets = dets[:max_dets]
-
-    matched = [False] * len(gts)
-    verdicts = []
-    for det in dets:
-        best_iou = 0.0
-        best_idx = -1
-        for gi, gt in enumerate(gts):
-            if matched[gi]:
-                continue
-            v = iou(det.box, gt.box)
-            if v > best_iou:  # strict: ties keep the lowest gt index
-                best_iou = v
-                best_idx = gi
-        if best_idx >= 0 and best_iou >= theta:
-            matched[best_idx] = True
-            verdicts.append(Verdict(det.confidence, True))
-        else:
-            verdicts.append(Verdict(det.confidence, False))
-    return MatchResult(verdicts=tuple(verdicts), gt_count=len(gts))
+    """Inputs violate the matching contract (a class id outside the config)."""
 
 
 @dataclass(frozen=True)
@@ -128,13 +65,14 @@ def match_image(
     """Match one image over every (class, area) cell in one greedy loop.
 
     Padding entries are stripped internally. Class ids must lie in
-    [0, config.num_classes) after stripping. Equivalent, cell by cell, to
-    match_image_class (asserted by tests). The IoU matrix is computed once
-    per image. Step r of the loop matches the rank-r detection of every
-    cell, for every IoU threshold at once, against a taken mask per
-    (threshold, area). That is exact: the detections of one rank lie in
-    distinct (class, area) cells, and each may take only ground truths of
-    its own class in its own area, so no two of them compete.
+    [0, config.num_classes) after stripping; one image may hold any mix of
+    them. Each (class, threshold, area, limit) cell equals a brute-force
+    greedy match of that class alone (asserted by tests). The IoU matrix
+    is computed once per image. Step r of the loop matches the rank-r
+    detection of every cell, for every IoU threshold at once, against a
+    taken mask per (threshold, area). That is exact: the detections of one
+    rank lie in distinct (class, area) cells, and each may take only ground
+    truths of its own class in its own area, so no two of them compete.
     """
     det_cls = np.array([d.class_id for d in detections], dtype=np.int64)
     gt_cls = np.array([g.class_id for g in ground_truths], dtype=np.int64)

@@ -251,39 +251,36 @@ def finalize(state: BucketedState) -> MetricReport:
 
 # -- state snapshot serialization -----------------------------------------
 #
-# Layout: one JSON header line (format, config, and each array's name,
-# shape, dtype and non-zero count n, sorted keys), then for each array in
-# header order its n flat C-order indices, strictly increasing, followed by
-# their n counts, each >= 1; all little-endian int64. Only non-zero counters
-# are stored and equal states give equal bytes, so merge outputs are
-# grouping-independent and single-input merges are copies.
+# Layout: one JSON header line, byte for byte as _header builds it (format,
+# config, and each array's name, shape, dtype and non-zero count n, sorted
+# keys), then for each array in header order its n flat C-order indices,
+# strictly increasing, followed by their n counts, each >= 1; all
+# little-endian int64. Only non-zero counters are stored and equal states
+# give equal bytes, so merge outputs are grouping-independent and
+# single-input merges are copies.
 
 _MAGIC = "cocostream-state/2"
 
 
+def _header(config: EvalConfig, nonzero: Sequence) -> bytes:
+    """The snapshot's header line, the only one save_state writes and
+    load_state accepts; nonzero holds each array's count, in snapshot order."""
+    arrays = [
+        {"name": name, "shape": list(shape), "dtype": "<i8", "nonzero": n}
+        for (name, shape), n in zip(_array_shapes(config).items(), nonzero)
+    ]
+    header = {"format": _MAGIC, "config": config.to_dict(), "arrays": arrays}
+    return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+
+
 def save_state(state: BucketedState, fp: BinaryIO) -> None:
-    names = list(_array_shapes(state.config))
-    flat = {name: getattr(state, name).reshape(-1) for name in names}
-    nonzero = {name: np.flatnonzero(values) for name, values in flat.items()}
-    header = {
-        "format": _MAGIC,
-        "config": state.config.to_dict(),
-        "arrays": [
-            {
-                "name": name,
-                "shape": list(getattr(state, name).shape),
-                "dtype": "<i8",
-                "nonzero": len(nonzero[name]),
-            }
-            for name in names
-        ],
-    }
+    flat = [getattr(state, name).reshape(-1) for name in _array_shapes(state.config)]
+    nonzero = [np.flatnonzero(values) for values in flat]
     stalled = "snapshot write made no progress"
-    _transfer(fp.write, json.dumps(header, sort_keys=True).encode("utf-8") + b"\n", stalled)
-    for name in names:
-        idx = nonzero[name]
+    _transfer(fp.write, _header(state.config, [len(idx) for idx in nonzero]), stalled)
+    for values, idx in zip(flat, nonzero):
         _transfer(fp.write, idx.astype("<i8", copy=False), stalled)
-        _transfer(fp.write, flat[name][idx].astype("<i8", copy=False), stalled)
+        _transfer(fp.write, values[idx].astype("<i8", copy=False), stalled)
 
 
 def _transfer(io_call, buffer, error: str) -> None:
@@ -319,18 +316,21 @@ def load_state(fp: BinaryIO, into: BucketedState | None = None) -> BucketedState
         raise ValueError(f"unsupported snapshot format: {header.get('format')!r}")
     try:
         config = EvalConfig.from_dict(header["config"])
-        specs = header["arrays"]
-        nonzero = [spec["nonzero"] for spec in specs]
-        specs = [{k: v for k, v in spec.items() if k != "nonzero"} for spec in specs]
+        nonzero = [spec["nonzero"] for spec in header["arrays"]]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed snapshot header: {exc!r}") from exc
     shapes = _array_shapes(config)
-    expected = [
-        {"name": name, "shape": list(shape), "dtype": "<i8"} for name, shape in shapes.items()
-    ]
-    if specs != expected:
+    expected = _header(config, nonzero)
+    if len(nonzero) != len(shapes) or header_line != expected:
+        at = next(
+            (i for i, (a, b) in enumerate(zip(header_line, expected)) if a != b),
+            min(len(header_line), len(expected)),
+        )
+        near = slice(max(at - 30, 0), at + 30)
         raise ValueError(
-            f"snapshot arrays do not match its config: expected {expected}, got {specs}"
+            "snapshot header and its config do not match: it is not the line"
+            f" save_state writes for that config and these counts; near byte {at},"
+            f" expected {expected[near]!r}, got {header_line[near]!r}"
         )
     if into is not None and into.config.to_dict() != config.to_dict():
         raise MergeError("cannot merge states with differing configs")

@@ -4,8 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cocostream import BoundingBox, Detection, EvalConfig, GroundTruth, MatchResult
-from cocostream.matching import Verdict
+from cocostream import BoundingBox, Detection, EvalConfig, GroundTruth
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -42,17 +41,16 @@ def make_gt(left=0.0, top=0.0, right=10.0, bottom=10.0, class_id=0):
 
 
 def cell_result(matches, class_id, iou_idx, area_idx, maxdets_idx):
-    """The verdicts of one grid cell, read from a match_image record in
-    column order, in the form of the scalar reference match_image_class."""
+    """One grid cell of a match_image record, in column order, as
+    (((confidence, is_tp), ...), gt_count), the form of reference.greedy_cell."""
     limit = matches.config.max_dets_list[maxdets_idx]
     cols = np.nonzero(
         (matches.cls == class_id) & (matches.area == area_idx) & (matches.rank < limit)
     )[0]
     verdicts = tuple(
-        Verdict(float(c), bool(f))
-        for c, f in zip(matches.confidences[cols], matches.tp[iou_idx, cols])
+        (float(c), bool(f)) for c, f in zip(matches.confidences[cols], matches.tp[iou_idx, cols])
     )
-    return MatchResult(verdicts=verdicts, gt_count=int(matches.gt_counts[class_id, area_idx]))
+    return verdicts, int(matches.gt_counts[class_id, area_idx])
 
 
 def random_image(rng, num_classes=3, max_boxes=10, span=200.0, confidences=None):

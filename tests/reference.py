@@ -1,7 +1,11 @@
-"""Dense reference reducer: the per-cell finalize that cumsums every bucket.
+"""Straightforward references that tests hold the library to.
 
-finalize in cocostream.streaming reduces only the occupied buckets and
-fills one AP array; this module keeps the straightforward form it replaced,
+Matching: brute_force_tp_flags is an independent greedy matcher with its
+own IoU arithmetic and explicit scans, and greedy_cell applies it to one
+(class, threshold, area, max-dets) grid cell of match_image.
+
+Reduction: finalize in cocostream.streaming reduces only the occupied
+buckets and fills one AP array; dense_finalize keeps the form it replaced,
 one ap_for(t, k, a) callback per cell over the full bucket axis and a mean
 over a Python list, so tests can require bit-identical reports.
 """
@@ -10,7 +14,57 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from cocostream import UNDEFINED, BucketedState, EvalConfig, MetricReport, interpolate_ap
+from cocostream import (
+    UNDEFINED,
+    AreaRange,
+    BucketedState,
+    EvalConfig,
+    MetricReport,
+    box_area,
+    interpolate_ap,
+)
+
+
+def brute_force_tp_flags(dets, gts, theta):
+    """Independent greedy reference: fresh IoU arithmetic, explicit scans."""
+
+    def brute_iou(a, b):
+        ix = max(0.0, min(a.right, b.right) - max(a.left, b.left))
+        iy = max(0.0, min(a.bottom, b.bottom) - max(a.top, b.top))
+        inter = ix * iy
+        area_a = (a.right - a.left) * (a.bottom - a.top)
+        area_b = (b.right - b.left) * (b.bottom - b.top)
+        union = area_a + area_b - inter
+        return inter / union if union > 0 else 0.0
+
+    order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
+    taken = set()
+    flags = []
+    for i in order:
+        candidates = [
+            (brute_iou(dets[i].box, g.box), j)
+            for j, g in enumerate(gts)
+            if j not in taken
+        ]
+        best = max(candidates, key=lambda c: (c[0], -c[1]), default=(0.0, None))
+        if best[1] is not None and best[0] >= theta:
+            taken.add(best[1])
+            flags.append(True)
+        else:
+            flags.append(False)
+    return flags
+
+
+def greedy_cell(dets, gts, theta: float, max_dets: int, area: AreaRange):
+    """One class's grid cell: both sides filtered by area, detections
+    stably sorted by descending confidence and cut at max_dets, then
+    brute-force matched. Returns (((confidence, is_tp), ...), gt_count)."""
+    gts = [g for g in gts if area.contains(box_area(g.box))]
+    dets = sorted(
+        (d for d in dets if area.contains(box_area(d.box))), key=lambda d: -d.confidence
+    )[:max_dets]
+    flags = brute_force_tp_flags(dets, gts, theta)
+    return tuple((d.confidence, f) for d, f in zip(dets, flags)), len(gts)
 
 
 def cell_ap(tpc: np.ndarray, fpc: np.ndarray, gamma: int, recall_thresholds) -> float:

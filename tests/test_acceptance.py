@@ -27,9 +27,10 @@ from cocostream import (
     update,
 )
 from cocostream.bench import run_synth_bench, summarize
-from cocostream.matching import match_image_class
+from cocostream.matching import match_image
 
-from conftest import GOLDEN_METRICS, random_dataset, random_image
+from conftest import GOLDEN_METRICS, cell_result, random_dataset, random_image
+from reference import brute_force_tp_flags
 
 MAP_ROWS = ("map_standard", "map_50", "map_75", "map_small", "map_medium", "map_large")
 RECALL_ROWS = (
@@ -184,56 +185,33 @@ def test_criterion_5_bucket_count_convergence(synthetic_pool_path):
     )
 
 
-def _brute_force_tp_flags(dets, gts, theta):
-    """Independent greedy reference: fresh IoU arithmetic, explicit scans."""
-
-    def brute_iou(a, b):
-        ix = max(0.0, min(a.right, b.right) - max(a.left, b.left))
-        iy = max(0.0, min(a.bottom, b.bottom) - max(a.top, b.top))
-        inter = ix * iy
-        area_a = (a.right - a.left) * (a.bottom - a.top)
-        area_b = (b.right - b.left) * (b.bottom - b.top)
-        union = area_a + area_b - inter
-        return inter / union if union > 0 else 0.0
-
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].confidence, i))
-    taken = set()
-    flags = []
-    for i in order:
-        candidates = [
-            (brute_iou(dets[i].box, g.box), j)
-            for j, g in enumerate(gts)
-            if j not in taken
-        ]
-        best = max(candidates, key=lambda c: (c[0], -c[1]), default=(0.0, None))
-        if best[1] is not None and best[0] >= theta:
-            taken.add(best[1])
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags
-
-
 def test_criterion_6_matching_invariants():
-    """Greedy matcher agrees with brute force and obeys its monotonicities."""
+    """match_image agrees with brute force and obeys its monotonicities."""
     t0 = time.time()
-    all_area = AreaRange(0.0, math.inf)
-    rng = np.random.default_rng(606)
     thetas = (0.3, 0.5, 0.75, 0.9)
+    limits = (1, 3, 8, 100)
+    cfg = EvalConfig(
+        num_classes=1,
+        iou_thresholds=thetas,
+        max_dets_list=limits,
+        area_ranges=(("all", AreaRange(0.0, math.inf)),),
+    )
+    rng = np.random.default_rng(606)
     for i in range(1000):
         dets, gts = random_image(rng, num_classes=1, max_boxes=8)
+        matches = match_image(dets, gts, cfg)
         tp_by_theta = []
-        for theta in thetas:
-            res = match_image_class(dets, gts, theta, 100, all_area)
-            flags = [v.is_tp for v in res.verdicts]
-            assert flags == _brute_force_tp_flags(dets, gts, theta), (i, theta)
+        for t_idx, theta in enumerate(thetas):
+            verdicts, gt_count = cell_result(matches, 0, t_idx, 0, len(limits) - 1)
+            flags = [is_tp for _, is_tp in verdicts]
+            assert flags == brute_force_tp_flags(dets, gts, theta), (i, theta)
             tp = sum(flags)
-            assert tp <= min(len(res.verdicts), res.gt_count), i
+            assert tp <= min(len(verdicts), gt_count), i
             tp_by_theta.append(tp)
         assert tp_by_theta == sorted(tp_by_theta, reverse=True), i
         tp_by_maxdets = [
-            sum(v.is_tp for v in match_image_class(dets, gts, 0.5, m, all_area).verdicts)
-            for m in (1, 3, 8, 100)
+            sum(is_tp for _, is_tp in cell_result(matches, 0, thetas.index(0.5), 0, m_idx)[0])
+            for m_idx in range(len(limits))
         ]
         assert tp_by_maxdets == sorted(tp_by_maxdets), i
     _report("criterion 6: matching invariants on 1000 random images", time.time() - t0)

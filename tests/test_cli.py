@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import tracemalloc
@@ -186,6 +187,11 @@ class TestSynthBench:
             assert rc == 0
             outputs.append(out.read_text())
         assert outputs[0] == outputs[1]
+        pinned = [tmp_path / "one.csv", tmp_path / "s_one.csv"]
+        assert [hashlib.sha256(path.read_bytes()).hexdigest() for path in pinned] == [
+            "2efc767448d41b7ea60961f22732d046d46912dee8f09dc380500b9b49380b0d",
+            "2c5eb034817e55f5e15f4637c38e5a82dbd283b61aeac2cfc5d66598a0fd1930",
+        ]
         rows = list(csv.DictReader(outputs[0].splitlines()))
         # 3 runs x 12 metrics
         assert len(rows) == 36

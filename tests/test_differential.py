@@ -1,7 +1,7 @@
 """Differential tests of the columnar matching, bucketing and exact paths
-against the scalar references: match_image_class per grid cell,
-bucket_index per confidence, a global sort of match_image_class verdicts
-for evaluate_exact, and the dense per-cell reducer for finalize.
+against the scalar references: the brute-force greedy_cell per grid cell,
+bucket_index per confidence, a global sort of greedy_cell verdicts for
+evaluate_exact, and the dense per-cell reducer for finalize.
 
 Max-dets limits are drawn from 1-6, so prefixes of the single match at the
 largest limit really get cut; small integer boxes and a few repeated
@@ -23,14 +23,13 @@ from cocostream import (
     evaluate_exact,
     finalize,
     interpolate_ap,
-    match_image_class,
     new_state,
     update,
 )
 from cocostream.matching import match_image
 
 from conftest import cell_result, make_det, make_gt, random_dataset
-from reference import dense_finalize, metric_report
+from reference import dense_finalize, greedy_cell, metric_report
 
 NUM_CLASSES = 2
 
@@ -76,7 +75,7 @@ def test_match_image_cells_equal_reference(config, image):
         for t_idx, theta in enumerate(config.iou_thresholds):
             for a_idx, (_, area) in enumerate(config.area_ranges):
                 for m_idx, max_dets in enumerate(config.max_dets_list):
-                    want = match_image_class(k_dets, k_gts, theta, max_dets, area)
+                    want = greedy_cell(k_dets, k_gts, theta, max_dets, area)
                     assert cell_result(matches, k, t_idx, a_idx, m_idx) == want
 
 
@@ -90,12 +89,12 @@ def test_update_equals_scalar_reference(config, batch):
             for t_idx, theta in enumerate(config.iou_thresholds):
                 for a_idx, (_, area) in enumerate(config.area_ranges):
                     for m_idx, max_dets in enumerate(config.max_dets_list):
-                        res = match_image_class(k_dets, k_gts, theta, max_dets, area)
-                        for v in res.verdicts:
-                            hist = want.tp_buckets if v.is_tp else want.fp_buckets
-                            hist[t_idx, k, a_idx, m_idx, bucket_index(v.confidence, config.buckets)] += 1
+                        verdicts, gt_count = greedy_cell(k_dets, k_gts, theta, max_dets, area)
+                        for conf, is_tp in verdicts:
+                            hist = want.tp_buckets if is_tp else want.fp_buckets
+                            hist[t_idx, k, a_idx, m_idx, bucket_index(conf, config.buckets)] += 1
                     if t_idx == 0:
-                        want.gt_counts[k, a_idx] += res.gt_count
+                        want.gt_counts[k, a_idx] += gt_count
 
     got = update(new_state(config), batch)
     np.testing.assert_array_equal(got.tp_buckets, want.tp_buckets)
@@ -134,17 +133,17 @@ def test_evaluate_exact_equals_scalar_reference(config, dataset):
             for t_idx, theta in enumerate(config.iou_thresholds):
                 for a_idx, (_, area) in enumerate(config.area_ranges):
                     for m_idx, max_dets in enumerate(config.max_dets_list):
-                        res = match_image_class(k_dets, k_gts, theta, max_dets, area)
-                        tp_totals[t_idx, k, a_idx, m_idx] += sum(v.is_tp for v in res.verdicts)
-                    top_verdicts.setdefault((t_idx, k, a_idx), []).extend(res.verdicts)
+                        verdicts, gt_count = greedy_cell(k_dets, k_gts, theta, max_dets, area)
+                        tp_totals[t_idx, k, a_idx, m_idx] += sum(is_tp for _, is_tp in verdicts)
+                    top_verdicts.setdefault((t_idx, k, a_idx), []).extend(verdicts)
                     if t_idx == 0:
-                        gt_counts[k, a_idx] += res.gt_count
+                        gt_counts[k, a_idx] += gt_count
 
     def ap_for(t_idx, k, a_idx):
-        ranked = sorted(top_verdicts[(t_idx, k, a_idx)], key=lambda v: -v.confidence)
+        ranked = sorted(top_verdicts[(t_idx, k, a_idx)], key=lambda v: -v[0])
         recalls, precisions, tp = [], [], 0
-        for i, v in enumerate(ranked, start=1):
-            tp += v.is_tp
+        for i, (_, is_tp) in enumerate(ranked, start=1):
+            tp += is_tp
             recalls.append(tp / gt_counts[k, a_idx])
             precisions.append(tp / i)
         return interpolate_ap(recalls, precisions, config.recall_thresholds)

@@ -4,25 +4,37 @@ import numpy as np
 import pytest
 
 from cocostream import AreaRange, ConfigError, EvalConfig, MatchingError
-from cocostream.matching import match_image, match_image_class
+from cocostream.matching import match_image
 
 from conftest import cell_result, make_det, make_gt, random_image
+from reference import greedy_cell
 
 ALL_AREA = AreaRange(0.0, math.inf)
 
 
 def verdict_flags(result):
-    return [v.is_tp for v in result.verdicts]
+    return [is_tp for _, is_tp in result[0]]
+
+
+def one_cell(dets, gts, theta=0.5, max_dets=100, area=ALL_AREA):
+    """match_image's class-0 cell under a one-threshold, one-limit, one-area config."""
+    config = EvalConfig(
+        num_classes=1,
+        iou_thresholds=(theta,),
+        max_dets_list=(max_dets,),
+        area_ranges=(("cell", area),),
+    )
+    return cell_result(match_image(dets, gts, config), 0, 0, 0, 0)
 
 
 class TestMatchImageClass:
+    """One class's cell of match_image, one cell per config."""
+
     def test_single_pair_above_threshold(self):
         # IoU = 60/100 = 0.6
         det = [make_det(0, 0, 10, 6, confidence=0.8)]
         gt = [make_gt(0, 0, 10, 10)]
-        res = match_image_class(det, gt, theta=0.5, max_dets=100, area=ALL_AREA)
-        assert verdict_flags(res) == [True]
-        assert res.gt_count == 1
+        assert one_cell(det, gt) == (((0.8, True),), 1)
 
     def test_second_detection_on_same_gt_is_fp(self):
         dets = [
@@ -30,21 +42,16 @@ class TestMatchImageClass:
             make_det(0, 0, 10, 9, confidence=0.8),
         ]
         gt = [make_gt(0, 0, 10, 10)]
-        res = match_image_class(dets, gt, theta=0.5, max_dets=100, area=ALL_AREA)
-        assert verdict_flags(res) == [True, False]
-        assert res.gt_count == 1
+        assert one_cell(dets, gt) == (((0.9, True), (0.8, False)), 1)
 
     def test_no_detections(self):
         gts = [make_gt(i * 20, 0, i * 20 + 10, 10) for i in range(3)]
-        res = match_image_class([], gts, theta=0.5, max_dets=100, area=ALL_AREA)
-        assert res.verdicts == ()
-        assert res.gt_count == 3
+        assert one_cell([], gts) == ((), 3)
 
     def test_iou_exactly_at_threshold_is_tp(self):
         det = [make_det(0, 0, 10, 5, confidence=0.5)]  # IoU exactly 0.5
         gt = [make_gt(0, 0, 10, 10)]
-        res = match_image_class(det, gt, theta=0.5, max_dets=100, area=ALL_AREA)
-        assert verdict_flags(res) == [True]
+        assert verdict_flags(one_cell(det, gt)) == [True]
 
     def test_detections_processed_by_descending_confidence(self):
         # the low-confidence det has the better IoU but goes second
@@ -53,35 +60,37 @@ class TestMatchImageClass:
             make_det(0, 0, 10, 10, confidence=0.2, class_id=0),
         ]
         gt = [make_gt(0, 0, 10, 10)]
-        res = match_image_class(dets[::-1], gt, theta=0.5, max_dets=100, area=ALL_AREA)
-        confs = [v.confidence for v in res.verdicts]
-        assert confs == [0.9, 0.2]
-        assert verdict_flags(res) == [True, False]
+        verdicts, _ = one_cell(dets[::-1], gt)
+        assert verdicts == ((0.9, True), (0.2, False))
+        # equal confidences keep input order, so the disjoint first one is an FP
+        tied = [make_det(20, 20, 30, 30, confidence=0.5), make_det(0, 0, 10, 10, confidence=0.5)]
+        assert verdict_flags(one_cell(tied, gt)) == [False, True]
 
     def test_highest_iou_gt_consumed_first(self):
         gts = [make_gt(0, 0, 10, 8), make_gt(0, 0, 10, 10)]
         det = [make_det(0, 0, 10, 10, confidence=0.9)]
-        res = match_image_class(det, gts, theta=0.5, max_dets=100, area=ALL_AREA)
-        assert verdict_flags(res) == [True]
+        assert verdict_flags(one_cell(det, gts)) == [True]
         # the perfect-IoU gt (index 1) was consumed; a second identical det
         # can still match gt 0
         dets2 = det + [make_det(0, 0, 10, 10, confidence=0.8)]
-        res2 = match_image_class(dets2, gts, theta=0.5, max_dets=100, area=ALL_AREA)
-        assert verdict_flags(res2) == [True, True]
+        assert verdict_flags(one_cell(dets2, gts)) == [True, True]
 
     def test_gt_iou_tie_takes_lowest_index(self):
         gts = [make_gt(0, 0, 10, 10), make_gt(0, 0, 10, 10)]
         det = [make_det(0, 0, 10, 10, confidence=0.9)]
         dets2 = det + [make_det(0, 0, 10, 10, confidence=0.8)]
-        res = match_image_class(dets2, gts, theta=0.5, max_dets=100, area=ALL_AREA)
-        assert verdict_flags(res) == [True, True]
+        assert verdict_flags(one_cell(dets2, gts)) == [True, True]
+        # The first detection ties at IoU 0.5 with both gts; taking gt 0
+        # leaves the second detection only gt 1, at IoU 1/3.
+        gts = [make_gt(0, 0, 10, 20), make_gt(0, 0, 20, 10)]
+        dets = [make_det(0, 0, 10, 10, confidence=0.9), make_det(0, 0, 10, 20, confidence=0.8)]
+        assert verdict_flags(one_cell(dets, gts, theta=0.4)) == [True, False]
 
     def test_max_dets_truncation(self):
         dets = [make_det(0, 0, 10, 10, confidence=0.9 - 0.1 * i) for i in range(5)]
         gt = [make_gt(0, 0, 10, 10)]
-        res = match_image_class(dets, gt, theta=0.5, max_dets=2, area=ALL_AREA)
-        assert len(res.verdicts) == 2
-        assert [v.confidence for v in res.verdicts] == pytest.approx([0.9, 0.8])
+        verdicts, _ = one_cell(dets, gt, max_dets=2)
+        assert [c for c, _ in verdicts] == pytest.approx([0.9, 0.8])
 
     def test_area_filter_applies_to_both_sides(self):
         small = AreaRange(0.0, 1024.0)
@@ -90,22 +99,15 @@ class TestMatchImageClass:
             make_det(0, 0, 100, 100, confidence=0.8),  # area 10000, dropped
         ]
         gts = [make_gt(0, 0, 10, 10), make_gt(0, 0, 100, 100)]
-        res = match_image_class(dets, gts, theta=0.5, max_dets=100, area=small)
-        assert len(res.verdicts) == 1
-        assert res.gt_count == 1
-
-    def test_mixed_class_ids_rejected(self):
-        with pytest.raises(MatchingError):
-            match_image_class(
-                [make_det(class_id=1)], [make_gt(class_id=2)],
-                theta=0.5, max_dets=100, area=ALL_AREA,
-            )
+        verdicts, gt_count = one_cell(dets, gts, area=small)
+        assert len(verdicts) == 1
+        assert gt_count == 1
 
     def test_theta_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
-            match_image_class([], [make_gt()], theta=0.0, max_dets=100, area=ALL_AREA)
+            EvalConfig(num_classes=1, iou_thresholds=(0.0,))
         with pytest.raises(ConfigError):
-            match_image_class([], [make_gt()], theta=1.1, max_dets=100, area=ALL_AREA)
+            EvalConfig(num_classes=1, iou_thresholds=(1.1,))
 
 
 class TestMatchImage:
@@ -113,8 +115,7 @@ class TestMatchImage:
         matches = match_image([], [], small_config)
         assert matches.tp.shape == (len(small_config.iou_thresholds), 0)
         for t in range(len(small_config.iou_thresholds)):
-            res = cell_result(matches, 0, t, 0, 0)
-            assert res.verdicts == () and res.gt_count == 0
+            assert cell_result(matches, 0, t, 0, 0) == ((), 0)
 
     def test_grid_cardinality(self):
         cfg = EvalConfig(num_classes=1)
@@ -125,7 +126,7 @@ class TestMatchImage:
             cell_result(matches, 0, t, 0, 0) for t in range(len(cfg.iou_thresholds))
         ]
         assert len(t_cells) == 10
-        assert all(r.gt_count == 1 for r in t_cells)
+        assert all(gt_count == 1 for _, gt_count in t_cells)
 
     def test_class_mismatch_means_fp_everywhere(self, small_config):
         dets = [make_det(class_id=2, confidence=0.9)]
@@ -133,16 +134,13 @@ class TestMatchImage:
         matches = match_image(dets, gts, small_config)
         for t in range(len(small_config.iou_thresholds)):
             res = cell_result(matches, 2, t, 0, len(small_config.max_dets_list) - 1)
-            assert verdict_flags(res) == [False]
-            assert res.gt_count == 0
+            assert res == (((0.9, False),), 0)
 
     def test_padding_stripped_internally(self, small_config):
         dets = [make_det(class_id=-1, confidence=0.9), make_det(class_id=0, confidence=0.8)]
         gts = [make_gt(class_id=-1), make_gt(class_id=0)]
         matches = match_image(dets, gts, small_config)
-        res = cell_result(matches, 0, 0, 0, 2)
-        assert verdict_flags(res) == [True]
-        assert res.gt_count == 1
+        assert cell_result(matches, 0, 0, 0, 2) == (((0.8, True),), 1)
 
     def test_ground_truth_taken_per_threshold(self):
         # The first detection claims the gt at IoU 0.6 only under theta 0.5,
@@ -173,7 +171,7 @@ class TestMatchImage:
             match_image([make_det(class_id=99, confidence=0.5)], [], small_config)
 
     def test_grid_path_agrees_with_reference_per_cell(self, small_config):
-        # the vectorized per-class grid must reproduce match_image_class
+        # every cell of the per-image loop must equal the brute-force cell
         rng = np.random.default_rng(11)
         for _ in range(25):
             dets, gts = random_image(rng, num_classes=3, max_boxes=8)
@@ -184,15 +182,14 @@ class TestMatchImage:
                 for t_idx, theta in enumerate(small_config.iou_thresholds):
                     for a_idx, (_, area) in enumerate(small_config.area_ranges):
                         for m_idx, md in enumerate(small_config.max_dets_list):
-                            want = match_image_class(k_dets, k_gts, theta, md, area)
+                            want = greedy_cell(k_dets, k_gts, theta, md, area)
                             got = cell_result(matches, k, t_idx, a_idx, m_idx)
                             assert got == want
 
 
 class TestMatchingProperties:
     def _tp_count(self, dets, gts, theta, max_dets=100):
-        res = match_image_class(dets, gts, theta, max_dets, ALL_AREA)
-        return sum(v.is_tp for v in res.verdicts)
+        return sum(verdict_flags(one_cell(dets, gts, theta, max_dets)))
 
     def test_theta_monotonicity(self):
         rng = np.random.default_rng(5)
@@ -213,16 +210,16 @@ class TestMatchingProperties:
         rng = np.random.default_rng(7)
         for _ in range(50):
             dets, gts = random_image(rng, num_classes=1, max_boxes=8)
-            res = match_image_class(dets, gts, 0.5, 100, ALL_AREA)
-            tp = sum(v.is_tp for v in res.verdicts)
-            assert tp <= min(len(res.verdicts), res.gt_count)
+            verdicts, gt_count = one_cell(dets, gts)
+            tp = sum(is_tp for _, is_tp in verdicts)
+            assert tp <= min(len(verdicts), gt_count)
 
     def test_greedy_prefix_stability(self):
         rng = np.random.default_rng(8)
         for _ in range(30):
             dets, gts = random_image(rng, num_classes=1, max_boxes=8)
             dets = sorted(dets, key=lambda d: -d.confidence)
-            full = match_image_class(dets, gts, 0.5, 100, ALL_AREA)
+            full, _ = one_cell(dets, gts)
             for k in range(len(dets)):
-                prefix = match_image_class(dets[:k], gts, 0.5, 100, ALL_AREA)
-                assert full.verdicts[:k] == prefix.verdicts
+                prefix, _ = one_cell(dets[:k], gts)
+                assert full[:k] == prefix

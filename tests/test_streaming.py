@@ -25,6 +25,7 @@ from cocostream import (
     save_state,
     update,
 )
+from cocostream.cli import main
 from cocostream.config import METRIC_NAMES
 from cocostream.matching import match_batch
 from cocostream.streaming import add_matches, merge_into
@@ -293,6 +294,18 @@ class TestSnapshot:
             "6aa528f33e4d72c3ed9fa73bbf7b1fb68fa4a10a4a538d49729c63ac2bbd9926"
         )
 
+    def test_round_trip_int_valued_config(self):
+        # ints in float fields are written as the floats load_state reads back
+        config = EvalConfig(
+            num_classes=1, iou_thresholds=(0.5, 1), recall_thresholds=(0, 1),
+            area_ranges=(("all", AreaRange(0, 1024)),),
+        )
+        state = update(new_state(config), [([make_det(confidence=0.9)], [make_gt()])])
+        buf = io.BytesIO()
+        save_state(state, buf)
+        buf.seek(0)
+        assert_states_equal(load_state(buf), state)
+
     def test_round_trip_unbuffered_file(self, small_config, tmp_path):
         state = update(new_state(small_config), random_dataset(14, n_images=3))
         path = tmp_path / "state.bin"
@@ -442,7 +455,8 @@ class TestLoadStateRejects:
         return header, body
 
     def load(self, header: dict, body: bytes, into=None):
-        return load_state(io.BytesIO(json.dumps(header).encode() + b"\n" + body), into=into)
+        data = json.dumps(header, sort_keys=True).encode() + b"\n" + body
+        return load_state(io.BytesIO(data), into=into)
 
     def test_raw_snapshot_loads(self):
         state = self.load(*self.raw(tp_buckets=([1, 3], [2, 5]), gt_counts=([0], [7])))
@@ -490,7 +504,7 @@ class TestLoadStateRejects:
     def test_truncated_inside_a_block(self, stream, keep, block):
         # tp_buckets stores 16 bytes of indices, then 16 bytes of counts
         header, body = self.raw(tp_buckets=([1, 3], [2, 5]))
-        data = json.dumps(header).encode() + b"\n" + body[:keep]
+        data = json.dumps(header, sort_keys=True).encode() + b"\n" + body[:keep]
         with pytest.raises(ValueError, match=f"while reading tp_buckets {block}"):
             load_state(stream(data))
 
@@ -532,7 +546,7 @@ class TestLoadStateRejects:
     @pytest.mark.parametrize("stream", [io.BytesIO, SevenByteStream])
     def test_truncated_body(self, stream):
         header, body = self.snapshot()
-        data = json.dumps(header).encode() + b"\n" + body[:-1]
+        data = json.dumps(header, sort_keys=True).encode() + b"\n" + body[:-1]
         with pytest.raises(ValueError, match="truncated snapshot while reading gt_counts"):
             load_state(stream(data))
 
@@ -541,10 +555,29 @@ class TestLoadStateRejects:
         with pytest.raises(ValueError, match="trailing"):
             self.load(header, body + b"\x00")
 
+    @pytest.mark.parametrize("variant", ["extra key", "Infinity area max", "unsorted keys"])
+    def test_non_canonical_header(self, variant, tmp_path, capsys):
+        # each header decodes to the config and counts of the one save_state wrote
+        header, body = self.snapshot()
+        if variant == "extra key":
+            header["extra"] = 1
+        if variant == "Infinity area max":
+            header["config"]["area_ranges"][0][2] = math.inf
+        if variant == "unsorted keys":
+            header = dict(reversed(header.items()))
+        data = json.dumps(header, sort_keys=variant != "unsorted keys").encode() + b"\n" + body
+        with pytest.raises(ValueError, match="do not match"):
+            load_state(io.BytesIO(data))
+        path, out = tmp_path / "bad.state", tmp_path / "merged.state"
+        path.write_bytes(data)
+        assert main(["merge", str(path), "--output", str(out)]) == 2
+        assert "do not match" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_array_shape_not_matching_config(self):
         header, body = self.snapshot()
         header["arrays"][2]["shape"] = [1, 2]  # gt_counts is (1, 1)
-        with pytest.raises(ValueError, match="do not match"):
+        with pytest.raises(ValueError, match=r"do not match.*expected b'.*\[1, 1\]\}.*', got b'.*\[1, 2\]\}"):
             self.load(header, body + bytes(8))
 
     def test_array_name_not_matching_config(self):
