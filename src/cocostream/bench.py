@@ -30,10 +30,6 @@ class ErrorMarginRow:
     exact_value: float
     abs_error: float  # UNDEFINED when either side is undefined
 
-    @property
-    def is_defined(self) -> bool:
-        return self.streaming_value != UNDEFINED and self.exact_value != UNDEFINED
-
 
 @dataclass(frozen=True)
 class MetricSummary:
@@ -105,7 +101,7 @@ def summarize(rows: Sequence[ErrorMarginRow]) -> list[MetricSummary]:
     """Min/max/mean/std of the absolute error per metric, defined runs only."""
     summaries = []
     for name in METRIC_NAMES:
-        errors = [r.abs_error for r in rows if r.metric_name == name and r.is_defined]
+        errors = [r.abs_error for r in rows if r.metric_name == name and r.abs_error != UNDEFINED]
         if errors:
             arr = np.array(errors)
             summaries.append(

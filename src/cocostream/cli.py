@@ -45,10 +45,10 @@ def _list(text: str, kind=float) -> tuple:
     return values
 
 
-def _count(text: str) -> int:
+def _count(text: str, low: int = 1) -> int:
     n = int(text)
-    if n < 1:
-        raise ValueError(f"must be >= 1, got {n}")
+    if n < low:
+        raise ValueError(f"must be >= {low}, got {n}")
     return n
 
 
@@ -140,6 +140,8 @@ def _output(path: str | None, default: TextIO) -> Iterator[TextIO]:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.mode == "exact" and args.state_out:
+        raise ValueError("--state-out needs --mode streaming; exact mode keeps no state")
     gt = load_ground_truth(args.ground_truth)
     dataset = load_detections(args.detections, gt)
     config = _build_config(args, num_classes=gt.num_classes)
@@ -179,7 +181,6 @@ def _cmd_synth_bench(args: argparse.Namespace) -> int:
         translate_fraction=args.translate_fraction,
         scale_low=args.scale_low,
         scale_high=args.scale_high,
-        seed=args.seed,
     )
     rows = run_synth_bench(
         gt,
@@ -258,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated image counts to benchmark",
     )
     p_bench.add_argument("--repeats", type=_flag_type(_count), default=10)
-    p_bench.add_argument("--seed", type=int, default=0)
+    p_bench.add_argument("--seed", type=_flag_type(lambda t: _count(t, low=0)), default=0)
     p_bench.add_argument("--translate-fraction", type=float, default=0.2)
     p_bench.add_argument("--scale-low", type=float, default=0.8)
     p_bench.add_argument("--scale-high", type=float, default=1.2)
@@ -281,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,8 +8,11 @@ with the 32^2 and 96^2 pixel boundaries, and max-detection limits 1/10/100.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -41,30 +44,18 @@ class AreaRange:
         return self.min_area <= area < self.max_area
 
 
-def default_iou_thresholds() -> tuple[float, ...]:
-    return tuple(0.5 + 0.05 * i for i in range(10))
-
-
-def default_recall_thresholds() -> tuple[float, ...]:
-    return tuple(i / 100.0 for i in range(101))
-
-
-def default_area_ranges() -> tuple[tuple[str, AreaRange], ...]:
-    return (
+@dataclass(frozen=True)
+class EvalConfig:
+    num_classes: int
+    iou_thresholds: tuple[float, ...] = tuple(0.5 + 0.05 * i for i in range(10))
+    recall_thresholds: tuple[float, ...] = tuple(i / 100.0 for i in range(101))
+    buckets: int = 10000
+    area_ranges: tuple[tuple[str, AreaRange], ...] = (
         ("all", AreaRange(0.0, math.inf)),
         ("small", AreaRange(0.0, COCO_AREA_SMALL_MAX)),
         ("medium", AreaRange(COCO_AREA_SMALL_MAX, COCO_AREA_MEDIUM_MAX)),
         ("large", AreaRange(COCO_AREA_MEDIUM_MAX, math.inf)),
     )
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    num_classes: int
-    iou_thresholds: tuple[float, ...] = field(default_factory=default_iou_thresholds)
-    recall_thresholds: tuple[float, ...] = field(default_factory=default_recall_thresholds)
-    buckets: int = 10000
-    area_ranges: tuple[tuple[str, AreaRange], ...] = field(default_factory=default_area_ranges)
     max_dets_list: tuple[int, ...] = (1, 10, 100)
 
     def __post_init__(self) -> None:
@@ -167,8 +158,14 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+_INTEGERS = (int, np.integer)
+
+
+def _is_number(value: object) -> bool:
+    """A real number a float can hold; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (float, np.floating, *_INTEGERS)):
+        return False
+    return not isinstance(value, _INTEGERS) or abs(value) <= sys.float_info.max
 
 
 def _is_area_entry(v) -> bool:

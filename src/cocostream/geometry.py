@@ -46,10 +46,6 @@ class GroundTruth:
         if self.class_id < PADDING_CLASS_ID:
             raise ValueError(f"class_id must be >= -1, got {self.class_id}")
 
-    @property
-    def is_padding(self) -> bool:
-        return self.class_id == PADDING_CLASS_ID
-
 
 @dataclass(frozen=True)
 class Detection:
@@ -60,14 +56,10 @@ class Detection:
     def __post_init__(self) -> None:
         if self.class_id < PADDING_CLASS_ID:
             raise ValueError(f"class_id must be >= -1, got {self.class_id}")
-        if not self.is_padding and not (0.0 <= self.confidence <= 1.0):
+        if self.class_id != PADDING_CLASS_ID and not (0.0 <= self.confidence <= 1.0):
             raise ValueError(
                 f"confidence must lie in [0, 1], got {self.confidence}"
             )
-
-    @property
-    def is_padding(self) -> bool:
-        return self.class_id == PADDING_CLASS_ID
 
 
 def box_area(a: BoundingBox) -> float:

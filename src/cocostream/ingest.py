@@ -9,13 +9,14 @@ on load and category ids are remapped to contiguous class indices.
 from __future__ import annotations
 
 import json
-import sys
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
+from .config import _INTEGERS, _is_number
 from .geometry import BoundingBox, Detection, GroundTruth
 
 
@@ -64,9 +65,9 @@ class PerturbationParams:
             raise ValidationError(
                 f"translate_fraction outside [0, 1): {self.translate_fraction}"
             )
-        if not (0.0 < self.scale_low <= self.scale_high):
+        if not (0.0 < self.scale_low <= self.scale_high < math.inf):
             raise ValidationError(
-                f"need 0 < scale_low <= scale_high, got "
+                f"need 0 < scale_low <= scale_high < inf, got "
                 f"{self.scale_low}, {self.scale_high}"
             )
 
@@ -91,16 +92,6 @@ def _field(entry: object, key: str, where: str) -> object:
     if key not in entry:
         raise ParseError(f"{where}: missing '{key}'")
     return entry[key]
-
-
-_INTEGERS = (int, np.integer)
-
-
-def _is_number(value: object) -> bool:
-    """A real number a float can hold; booleans and strings are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (float, np.floating, *_INTEGERS)):
-        return False
-    return not isinstance(value, _INTEGERS) or abs(value) <= sys.float_info.max
 
 
 def _number(entry: object, key: str, where: str) -> int | float:

@@ -32,7 +32,7 @@ class MatchingError(ValueError):
 @dataclass(frozen=True)
 class Matches:
     """Matched detections as columns, one per detection kept at the largest
-    max-dets limit, in image order and, per image, (class, area, rank) order.
+    max-dets limit, in image order and, per image, (area, class, rank) order.
 
     Greedy matching is prefix-stable, so a smaller limit m keeps the
     columns with rank < m; kept_verdicts is the only place that rule lives.
@@ -121,8 +121,7 @@ def match_image(
         taken[t, area[at[c]], best[t, c]] = True
         tp[:, at] = hit
 
-    col = np.lexsort((area, cls))  # stable: (class, area, rank) order
-    return Matches(config, cls[col], area[col], rank[col], confs[det][col], tp[:, col], gt_counts)
+    return Matches(config, cls, area, rank, confs[det], tp, gt_counts)
 
 
 def match_batch(

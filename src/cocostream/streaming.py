@@ -61,10 +61,7 @@ class BucketedState:
 
     def copy(self) -> "BucketedState":
         return BucketedState(
-            config=self.config,
-            tp_buckets=self.tp_buckets.copy(),
-            fp_buckets=self.fp_buckets.copy(),
-            gt_counts=self.gt_counts.copy(),
+            self.config, **{n: getattr(self, n).copy() for n in _array_shapes(self.config)}
         )
 
 
@@ -123,18 +120,14 @@ def add_matches(state: BucketedState, matches: Matches) -> BucketedState:
     return state
 
 
-def merge_into(acc: BucketedState, other: BucketedState) -> BucketedState:
-    """Add other's counters into acc in place; returns acc."""
-    if acc.config.to_dict() != other.config.to_dict():
-        raise MergeError("cannot merge states with differing configs")
-    for name in _array_shapes(acc.config):
-        np.add(getattr(acc, name), getattr(other, name), out=getattr(acc, name))
-    return acc
-
-
 def merge(a: BucketedState, b: BucketedState) -> BucketedState:
-    """Elementwise sum of two states with identical configs; a and b are unchanged."""
-    return merge_into(a.copy(), b)
+    """Elementwise sum of two states with identical configs, as a new state;
+    a and b are unchanged."""
+    if a.config.to_dict() != b.config.to_dict():
+        raise MergeError("cannot merge states with differing configs")
+    return BucketedState(
+        a.config, **{n: getattr(a, n) + getattr(b, n) for n in _array_shapes(a.config)}
+    )
 
 
 def interpolate_ap(

@@ -265,13 +265,14 @@ class TestBadInputExitsCleanly:
             ("--max-dets", "0,10"),
             ("--max-dets", "100,10,1"),
             ("--area-ranges", "all:0:,all:0:5"),
+            ("--seed", "-1"),
         ],
     )
     def test_bad_flag_value_names_its_flag(self, golden_paths, tmp_path, capsys, flag, value):
         gt, det = golden_paths
         out = tmp_path / "out.csv"
         commands = [["synth-bench", gt, "--image-counts", "2"]]
-        if flag not in ("--image-counts", "--repeats"):
+        if flag not in ("--image-counts", "--repeats", "--seed"):
             commands.append(["evaluate", gt, det])
         for argv in commands:
             with pytest.raises(SystemExit) as exc:
@@ -306,6 +307,8 @@ class TestBadInputExitsCleanly:
             ("area_ranges", [["all", 0.0]]),
             ("area_ranges", [["all", "0", None]]),
             ("area_ranges", [[1, 0.0, None]]),
+            ("iou_thresholds", [10**400]),
+            ("area_ranges", [["all", 0.0, 10**400]]),
         ],
     )
     def test_merge_snapshot_with_mistyped_config(self, golden_paths, tmp_path, capsys, key, value):
@@ -322,6 +325,27 @@ class TestBadInputExitsCleanly:
         err = capsys.readouterr().err
         assert f"error: config.{key}: expected" in err
         assert "Traceback" not in err
+
+    def test_exact_mode_rejects_state_out(self, golden_paths, tmp_path, capsys):
+        # exact mode keeps no state, so it would have nothing to write there
+        gt, det = golden_paths
+        report, state = tmp_path / "r.txt", tmp_path / "s.state"
+        rc = run_cli(
+            "evaluate", gt, det, "--mode", "exact", "--output", report, "--state-out", state
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "--state-out" in err
+        assert not report.exists() and not state.exists()
+
+    def test_config_too_large_to_allocate(self, golden_paths, tmp_path, capsys):
+        # 2**40 buckets ask for petabytes, so the allocation fails at once
+        gt, det = golden_paths
+        out = tmp_path / "r.txt"
+        assert run_cli("evaluate", gt, det, "--output", out, "--buckets", 2**40) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_merge_snapshot_without_arrays(self, golden_paths, tmp_path, capsys):
         gt, det = golden_paths

@@ -4,8 +4,8 @@ bucket_index per confidence, a global sort of greedy_cell verdicts for
 evaluate_exact, and the dense per-cell reducer for finalize.
 
 Max-dets limits are drawn from 1-6, so prefixes of the single match at the
-largest limit really get cut; small integer boxes and a few repeated
-confidences produce IoU and confidence ties.
+largest limit really get cut; a few repeated confidences produce confidence
+ties, and ground-truth pairs mirrored about a detection's box tie in IoU.
 """
 
 from dataclasses import replace
@@ -47,9 +47,32 @@ def boxes(draw):
 classes = st.integers(-1, NUM_CLASSES - 1)  # -1 is padding
 detections = st.builds(Detection, boxes(), classes, confidences)
 ground_truths = st.builds(GroundTruth, boxes(), classes)
-images = st.tuples(
-    st.lists(detections, max_size=8), st.lists(ground_truths, max_size=6)
-)
+
+
+def _shifted(box, dx, dy):
+    return BoundingBox(box.left + dx, box.top + dy, box.right + dx, box.bottom + dy)
+
+
+@st.composite
+def _images(draw, detections):
+    """(detections, ground_truths) plus up to two ground-truth pairs, each
+    mirrored about one detection's box so the two tie in IoU for it, and
+    optionally a later-ranked detection on one box of the pair, whose
+    verdict the tie can decide."""
+    dets = draw(st.lists(detections, max_size=8))
+    gts = draw(st.lists(ground_truths, max_size=6))
+    for d in draw(st.lists(st.sampled_from(dets), max_size=2)) if dets else ():
+        dx, dy = draw(st.integers(-8, 8)), draw(st.integers(-8, 8))
+        pair = [GroundTruth(_shifted(d.box, s * dx, s * dy), d.class_id) for s in (1, -1)]
+        at = draw(st.integers(0, len(gts)))
+        gts[at:at] = pair
+        if draw(st.booleans()):
+            conf = min(draw(detections).confidence, d.confidence)  # ranked after d
+            dets.append(Detection(draw(st.sampled_from(pair)).box, d.class_id, conf))
+    return dets, gts
+
+
+images = _images(detections)
 configs = st.builds(
     EvalConfig,
     num_classes=st.just(NUM_CLASSES),
@@ -67,6 +90,13 @@ def _class_inputs(dets, gts, k):
 
 @settings(max_examples=150, deadline=None)
 @given(config=configs, image=images)
+@example(  # the first detection ties between the two gts; the second sits on the later one
+    config=EvalConfig(num_classes=NUM_CLASSES, iou_thresholds=(0.5, 0.75), buckets=7),
+    image=(
+        [make_det(10, 10, 30, 30, confidence=0.9), make_det(12, 10, 32, 30)],
+        [make_gt(8, 10, 28, 30), make_gt(12, 10, 32, 30)],
+    ),
+)
 def test_match_image_cells_equal_reference(config, image):
     dets, gts = image
     matches = match_image(dets, gts, config)
@@ -115,9 +145,7 @@ def test_array_bucket_index_equals_scalar(values, buckets):
 
 # Few distinct confidences, so tie order across and within images matters.
 tied_detections = st.builds(Detection, boxes(), classes, st.sampled_from([0.2, 0.5, 0.9, 1.0]))
-tied_images = st.tuples(
-    st.lists(tied_detections, max_size=8), st.lists(ground_truths, max_size=6)
-)
+tied_images = _images(tied_detections)
 
 
 @settings(max_examples=150, deadline=None)

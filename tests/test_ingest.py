@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,8 @@ class TestPerturb:
             PerturbationParams(translate_fraction=1.0)
         with pytest.raises(ValidationError):
             PerturbationParams(scale_low=1.2, scale_high=0.8)
+        with pytest.raises(ValidationError):
+            PerturbationParams(scale_high=math.inf)
 
 
 def valid_annotation_doc():

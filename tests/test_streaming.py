@@ -28,7 +28,7 @@ from cocostream import (
 from cocostream.cli import main
 from cocostream.config import METRIC_NAMES
 from cocostream.matching import match_batch
-from cocostream.streaming import add_matches, merge_into
+from cocostream.streaming import add_matches
 
 from conftest import make_det, make_gt, random_dataset
 
@@ -172,7 +172,7 @@ class TestMerge:
             merge(a, b)
 
     def test_inputs_unchanged(self, small_config):
-        # merge accumulates in place into a copy; neither input may alias the result
+        # merge returns a new state; neither input may alias the result
         a = update(new_state(small_config), random_dataset(41, n_images=3))
         b = update(new_state(small_config), random_dataset(42, n_images=3))
         a_before, b_before = a.copy(), b.copy()
@@ -413,7 +413,7 @@ def test_snapshot_round_trip_is_lossless_canonical_and_adds_in_place(data):
         loaded = load_state(stream(blob))
         assert_states_equal(loaded, state)
         assert _snapshot(loaded) == blob
-    want = merge_into(acc.copy(), state)
+    want = merge(acc, state)
     assert load_state(io.BytesIO(blob), into=acc) is acc
     assert_states_equal(acc, want)
 
