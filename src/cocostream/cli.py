@@ -23,7 +23,16 @@ from .ingest import (
     load_ground_truth,
 )
 from .oracle import evaluate_exact
-from .streaming import MergeError, finalize, load_state, new_state, save_state, update
+from .streaming import (
+    MergeError,
+    _add_entries,
+    _read_entries,
+    _write_entries,
+    finalize,
+    new_state,
+    save_state,
+    update,
+)
 
 def _flag_type(parse):
     """An argparse type= callable: a ValueError from parse is printed after
@@ -50,6 +59,20 @@ def _count(text: str, low: int = 1) -> int:
     if n < low:
         raise ValueError(f"must be >= {low}, got {n}")
     return n
+
+
+def _fraction(text: str) -> float:
+    x = float(text)
+    if not 0.0 <= x < 1.0:
+        raise ValueError("must be in [0, 1)")
+    return x
+
+
+def _scale(text: str) -> float:
+    x = float(text)
+    if not 0.0 < x < math.inf:
+        raise ValueError("must be positive and finite")
+    return x
 
 
 def _area_range(text: str) -> tuple[str, AreaRange]:
@@ -160,17 +183,24 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_merge(args: argparse.Namespace) -> int:
-    merged = None
-    prev_path = None
+    """Sum the snapshots' stored entries, with no dense state; every input is
+    read and checked before the output is opened."""
+    config = total = prev_path = None
     for path in args.states:
         with open(path, "rb") as fh:
+            path_config, entries = _read_entries(fh)
+        if total is None:
+            config, total = path_config, entries
+        elif path_config.to_dict() != config.to_dict():
+            raise MergeError(f"config mismatch between {prev_path} and {path}")
+        else:
             try:
-                merged = load_state(fh, into=merged)
-            except MergeError:
-                raise MergeError(f"config mismatch between {prev_path} and {path}")
+                total = _add_entries(total, entries)
+            except ValueError as exc:
+                raise ValueError(f"adding {path}: {exc}") from None
         prev_path = path
     with open(args.output, "wb") as fh:
-        save_state(merged, fh)
+        _write_entries(fh, config, total)
     return 0
 
 
@@ -260,9 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--repeats", type=_flag_type(_count), default=10)
     p_bench.add_argument("--seed", type=_flag_type(lambda t: _count(t, low=0)), default=0)
-    p_bench.add_argument("--translate-fraction", type=float, default=0.2)
-    p_bench.add_argument("--scale-low", type=float, default=0.8)
-    p_bench.add_argument("--scale-high", type=float, default=1.2)
+    p_bench.add_argument("--translate-fraction", type=_flag_type(_fraction), default=0.2)
+    p_bench.add_argument("--scale-low", type=_flag_type(_scale), default=0.8)
+    p_bench.add_argument("--scale-high", type=_flag_type(_scale), default=1.2)
     p_bench.add_argument("--output", default=None, help="rows CSV path (default stdout)")
     p_bench.add_argument(
         "--summary-output", default=None,
@@ -280,6 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "synth-bench" and args.scale_low > args.scale_high:
+        parser.error(
+            f"argument --scale-low: {args.scale_low!r} is greater than"
+            f" --scale-high {args.scale_high!r}"
+        )
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:

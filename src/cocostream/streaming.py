@@ -122,11 +122,12 @@ def add_matches(state: BucketedState, matches: Matches) -> BucketedState:
 
 def merge(a: BucketedState, b: BucketedState) -> BucketedState:
     """Elementwise sum of two states with identical configs, as a new state;
-    a and b are unchanged."""
+    a and b are unchanged. Raises ValueError if a counter overflows int64."""
     if a.config.to_dict() != b.config.to_dict():
         raise MergeError("cannot merge states with differing configs")
     return BucketedState(
-        a.config, **{n: getattr(a, n) + getattr(b, n) for n in _array_shapes(a.config)}
+        a.config,
+        **{n: _checked_sum(n, getattr(a, n), getattr(b, n)) for n in _array_shapes(a.config)},
     )
 
 
@@ -256,8 +257,8 @@ _MAGIC = "cocostream-state/2"
 
 
 def _header(config: EvalConfig, nonzero: Sequence) -> bytes:
-    """The snapshot's header line, the only one save_state writes and
-    load_state accepts; nonzero holds each array's count, in snapshot order."""
+    """The snapshot's header line, the only one _write_entries writes and
+    _read_entries accepts; nonzero holds each array's count, in snapshot order."""
     arrays = [
         {"name": name, "shape": list(shape), "dtype": "<i8", "nonzero": n}
         for (name, shape), n in zip(_array_shapes(config).items(), nonzero)
@@ -267,13 +268,22 @@ def _header(config: EvalConfig, nonzero: Sequence) -> bytes:
 
 
 def save_state(state: BucketedState, fp: BinaryIO) -> None:
-    flat = [getattr(state, name).reshape(-1) for name in _array_shapes(state.config)]
-    nonzero = [np.flatnonzero(values) for values in flat]
+    entries = {}
+    for name in _array_shapes(state.config):
+        values = getattr(state, name).reshape(-1)
+        idx = np.flatnonzero(values)
+        entries[name] = idx, values[idx]
+    _write_entries(fp, state.config, entries)
+
+
+def _write_entries(fp: BinaryIO, config: EvalConfig, entries: dict) -> None:
+    """Write the snapshot of config whose arrays hold entries[name] = (flat
+    indices, counts), given in snapshot order with the indices increasing."""
     stalled = "snapshot write made no progress"
-    _transfer(fp.write, _header(state.config, [len(idx) for idx in nonzero]), stalled)
-    for values, idx in zip(flat, nonzero):
+    _transfer(fp.write, _header(config, [len(idx) for idx, _ in entries.values()]), stalled)
+    for idx, counts in entries.values():
         _transfer(fp.write, idx.astype("<i8", copy=False), stalled)
-        _transfer(fp.write, values[idx].astype("<i8", copy=False), stalled)
+        _transfer(fp.write, counts.astype("<i8", copy=False), stalled)
 
 
 def _transfer(io_call, buffer, error: str) -> None:
@@ -290,13 +300,25 @@ def _transfer(io_call, buffer, error: str) -> None:
         view = view[moved:]
 
 
-def load_state(fp: BinaryIO, into: BucketedState | None = None) -> BucketedState:
-    """Read a snapshot and add its counters into `into`, or into a new
-    all-zero state; returns that state.
+def load_state(fp: BinaryIO) -> BucketedState:
+    """Read a snapshot into a new state.
 
-    Rejects any snapshot that save_state could not have written. The whole
-    snapshot is read and checked before any counter is written, so on an
-    error `into` is unchanged; a config other than into's raises MergeError.
+    Rejects any snapshot that save_state could not have written; the whole
+    snapshot is read and checked before the state is allocated.
+    """
+    config, entries = _read_entries(fp)
+    state = new_state(config)
+    for name, (idx, counts) in entries.items():
+        getattr(state, name).reshape(-1)[idx] = counts
+    return state
+
+
+def _read_entries(fp: BinaryIO) -> tuple[EvalConfig, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """Read and check a whole snapshot without building its state.
+
+    Returns its config and, per array in snapshot order, the (flat indices,
+    counts) it stores: indices strictly increasing, counts >= 1. Raises
+    ValueError for any snapshot that save_state could not have written.
     """
     header_line = fp.readline()
     try:
@@ -325,8 +347,6 @@ def load_state(fp: BinaryIO, into: BucketedState | None = None) -> BucketedState
             f" save_state writes for that config and these counts; near byte {at},"
             f" expected {expected[near]!r}, got {header_line[near]!r}"
         )
-    if into is not None and into.config.to_dict() != config.to_dict():
-        raise MergeError("cannot merge states with differing configs")
     entries = {}
     for (name, shape), n in zip(shapes.items(), nonzero):
         size = int(np.prod(shape))
@@ -349,8 +369,32 @@ def load_state(fp: BinaryIO, into: BucketedState | None = None) -> BucketedState
         entries[name] = idx, counts
     if fp.read(1):
         raise ValueError("trailing bytes after snapshot arrays")
-    state = new_state(config) if into is None else into
-    for name, (idx, counts) in entries.items():
-        target = getattr(state, name)
-        target[np.unravel_index(idx, target.shape)] += counts
-    return state
+    return config, entries
+
+
+def _add_entries(a: dict, b: dict) -> dict:
+    """The entries of the sum of two snapshots' states, from their entries
+    as _read_entries returns them; the configs must match. Raises
+    ValueError, naming the array, if a sum overflows int64."""
+    total = {}
+    for name, (idx_a, counts_a) in a.items():
+        idx_b, counts_b = b[name]
+        idx = np.concatenate((idx_a, idx_b))
+        order = np.argsort(idx, kind="stable")
+        idx, counts = idx[order], np.concatenate((counts_a, counts_b))[order]
+        # Each input's indices are unique, so an index occurs at most twice:
+        # add each repeat onto the first occurrence, as one aligned vector.
+        first = np.diff(idx, prepend=-1) > 0
+        repeats = np.zeros(np.count_nonzero(first), dtype=np.int64)
+        repeats[np.cumsum(first)[~first] - 1] = counts[~first]
+        total[name] = idx[first], _checked_sum(name, counts[first], repeats)
+    return total
+
+
+def _checked_sum(name: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b for int64 arrays; ValueError naming the array if an entry
+    overflows, which is when both addends differ in sign from the sum."""
+    total = a + b
+    if (((a ^ total) & (b ^ total)) < 0).any():
+        raise ValueError(f"counter overflow in array {name}: a sum is outside int64")
+    return total

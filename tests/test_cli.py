@@ -147,8 +147,9 @@ class TestMerge:
         assert not out.exists()
 
     def test_merge_holds_one_state(self, tmp_path):
-        # Each snapshot is added into the first one as it is read, so the
-        # peak is one dense state plus the small sparse entries.
+        # Merge sums the snapshots' stored entries and never builds a dense
+        # state, so its peak follows the snapshot sizes: a small fraction
+        # of the one dense state this config would need.
         config = EvalConfig(num_classes=1)
         paths = [tmp_path / f"shard{seed}.bin" for seed in range(4)]
         for seed, path in enumerate(paths):
@@ -162,7 +163,27 @@ class TestMerge:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * nbytes
+        assert peak < nbytes / 20
+
+    @pytest.mark.parametrize("copies", [2, 3, 4])
+    def test_overflowing_sum_fails(self, tmp_path, capsys, copies):
+        # 2 * 2**62 overflows int64, and 4 copies would wrap to exactly 0
+        config = EvalConfig(num_classes=1, buckets=4, iou_thresholds=(0.5,), max_dets_list=(10,))
+        state = new_state(config)
+        state.tp_buckets[0, 0, 0, 0, 2] = 2**62
+        state.gt_counts[0, 0] = 1
+        path = tmp_path / "big.state"
+        with path.open("wb") as fh:
+            save_state(state, fh)
+        paths = [tmp_path / f"copy{i}.state" for i in range(copies)]
+        for p in paths:
+            p.write_bytes(path.read_bytes())
+        out = tmp_path / "merged.state"
+        assert run_cli("merge", *paths, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert "tp_buckets" in err and "overflow" in err and "copy1.state" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_config_mismatch_fails(self, golden_paths, tmp_path, capsys):
         a = self._make_state(golden_paths, tmp_path, "a.bin")
@@ -237,7 +258,13 @@ class TestSynthBench:
 
 
 # Bad flag values whose error must also name the rule they break.
-REASONS = {("--max-dets", "100,10,1"): "max_dets_list must be strictly increasing"}
+REASONS = {
+    ("--max-dets", "100,10,1"): "max_dets_list must be strictly increasing",
+    ("--scale-low", "1.5"): "greater than --scale-high 1.2",
+}
+SYNTH_BENCH_ONLY = (
+    "--image-counts", "--repeats", "--seed", "--translate-fraction", "--scale-low", "--scale-high",
+)
 
 
 class TestBadInputExitsCleanly:
@@ -266,13 +293,19 @@ class TestBadInputExitsCleanly:
             ("--max-dets", "100,10,1"),
             ("--area-ranges", "all:0:,all:0:5"),
             ("--seed", "-1"),
+            ("--scale-high", "inf"),
+            ("--scale-high", "nan"),
+            ("--translate-fraction", "-1"),
+            ("--translate-fraction", "1"),
+            ("--scale-low", "0"),
+            ("--scale-low", "1.5"),
         ],
     )
     def test_bad_flag_value_names_its_flag(self, golden_paths, tmp_path, capsys, flag, value):
         gt, det = golden_paths
         out = tmp_path / "out.csv"
         commands = [["synth-bench", gt, "--image-counts", "2"]]
-        if flag not in ("--image-counts", "--repeats", "--seed"):
+        if flag not in SYNTH_BENCH_ONLY:
             commands.append(["evaluate", gt, det])
         for argv in commands:
             with pytest.raises(SystemExit) as exc:

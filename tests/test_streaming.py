@@ -4,6 +4,8 @@ import io
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from cocostream import (
 from cocostream.cli import main
 from cocostream.config import METRIC_NAMES
 from cocostream.matching import match_batch
-from cocostream.streaming import add_matches
+from cocostream.streaming import _add_entries, _read_entries, _write_entries, add_matches
 
 from conftest import make_det, make_gt, random_dataset
 
@@ -183,6 +185,28 @@ class TestMerge:
             np.testing.assert_array_equal(
                 getattr(merged, name), getattr(a, name) + getattr(b, name)
             )
+
+    @pytest.mark.parametrize(
+        "x, y, overflows",
+        [
+            (2**62, 2**62, True),
+            (2**63 - 1, 1, True),
+            (-(2**63), -1, True),
+            (2**62, 2**62 - 1, False),
+            (2**63 - 1, -1, False),
+        ],
+    )
+    @pytest.mark.parametrize("name", ["tp_buckets", "fp_buckets", "gt_counts"])
+    def test_overflow_raises(self, name, x, y, overflows):
+        # a wrapped sum would be a negative, or after four 2**62 terms a zero, counter
+        config = EvalConfig(num_classes=1, buckets=4, iou_thresholds=(0.5,), max_dets_list=(10,))
+        a, b = new_state(config), new_state(config)
+        getattr(a, name).flat[-1], getattr(b, name).flat[-1] = x, y
+        if overflows:
+            with pytest.raises(ValueError, match=f"counter overflow in array {name}"):
+                merge(a, b)
+        else:
+            assert getattr(merge(a, b), name).flat[-1] == x + y
 
 
 class TestInterpolateAp:
@@ -413,9 +437,43 @@ def test_snapshot_round_trip_is_lossless_canonical_and_adds_in_place(data):
         loaded = load_state(stream(blob))
         assert_states_equal(loaded, state)
         assert _snapshot(loaded) == blob
-    want = merge(acc, state)
-    assert load_state(io.BytesIO(blob), into=acc) is acc
-    assert_states_equal(acc, want)
+    # cocostream merge's fold: the sum of the two snapshots' entries is the
+    # snapshot of the dense sum
+    (config_a, a), (config_b, b) = (_read_entries(io.BytesIO(x)) for x in (_snapshot(acc), blob))
+    assert config_a.to_dict() == config_b.to_dict() == config.to_dict()
+    for name, (idx, counts) in b.items():
+        values = getattr(state, name).reshape(-1)
+        np.testing.assert_array_equal(idx, np.flatnonzero(values))
+        np.testing.assert_array_equal(counts, values[idx])
+    summed = io.BytesIO()
+    _write_entries(summed, config, _add_entries(a, b))
+    assert summed.getvalue() == _snapshot(merge(acc, state))
+
+
+MERGE_CONFIGS = (
+    dataclasses.replace(SNAPSHOT_CONFIGS[1], buckets=1),
+    SNAPSHOT_CONFIGS[1],  # 7 buckets
+    SNAPSHOT_CONFIGS[2],  # the default grid: 10,000 buckets
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cli_merge_equals_dense_merge_fold(data):
+    # counts reach 2**61, so a sum taken in float64 would lose low bits
+    config = data.draw(st.sampled_from(MERGE_CONFIGS))
+    shards = data.draw(st.lists(states(config), min_size=1, max_size=5))
+    order = data.draw(st.permutations(range(len(shards))))
+    want = shards[0]
+    for shard in shards[1:]:
+        want = merge(want, shard)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"shard{i}.state" for i in order]
+        for i, path in zip(order, paths):
+            path.write_bytes(_snapshot(shards[i]))
+        out = Path(tmp) / "merged.state"
+        assert main(["merge", *map(str, paths), "--output", str(out)]) == 0
+        assert out.read_bytes() == _snapshot(want)
 
 
 def test_max_dets_must_increase():
@@ -454,9 +512,26 @@ class TestLoadStateRejects:
             body += np.array(indices, "<i8").tobytes() + np.array(counts, "<i8").tobytes()
         return header, body
 
-    def load(self, header: dict, body: bytes, into=None):
-        data = json.dumps(header, sort_keys=True).encode() + b"\n" + body
-        return load_state(io.BytesIO(data), into=into)
+    @staticmethod
+    def data(header: dict, body: bytes) -> bytes:
+        return json.dumps(header, sort_keys=True).encode() + b"\n" + body
+
+    def load(self, header: dict, body: bytes):
+        return load_state(io.BytesIO(self.data(header, body)))
+
+    def merge_fails(self, tmp_path, capsys, acc, header, body) -> str:
+        """Run cocostream merge of acc's snapshot, then the given one, onto an
+        existing output; check that it exits 2 and leaves that output as it
+        was, and return the error it printed."""
+        first, second, out = (tmp_path / n for n in ("acc.state", "next.state", "out.state"))
+        first.write_bytes(_snapshot(acc))
+        second.write_bytes(self.data(header, body))
+        out.write_bytes(b"earlier output")
+        assert main(["merge", str(first), str(second), "--output", str(out)]) == 2
+        assert out.read_bytes() == b"earlier output"
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
 
     def test_raw_snapshot_loads(self):
         state = self.load(*self.raw(tp_buckets=([1, 3], [2, 5]), gt_counts=([0], [7])))
@@ -516,32 +591,26 @@ class TestLoadStateRejects:
             ({"gt_counts": ([1], [1])}, "gt_counts: indices must be strictly increasing"),
         ],
     )
-    def test_corrupt_last_array_leaves_into_unchanged(self, entries, error):
+    def test_corrupt_last_array_leaves_into_unchanged(self, tmp_path, capsys, entries, error):
         dets = [make_det(), make_det(confidence=0.1)]
         acc = update(new_state(self.CONFIG), [(dets, [make_gt()])])
-        before = acc.copy()
         header, body = self.raw(tp_buckets=([1, 3], [2, 5]), fp_buckets=([0], [1]), **entries)
         with pytest.raises(ValueError, match=error):
-            self.load(header, body, into=acc)
-        assert_states_equal(acc, before)
+            _read_entries(io.BytesIO(self.data(header, body)))
+        assert error in self.merge_fails(tmp_path, capsys, acc, header, body)
 
-    def test_truncated_or_trailing_leaves_into_unchanged(self):
+    def test_truncated_or_trailing_leaves_into_unchanged(self, tmp_path, capsys):
         acc = update(new_state(self.CONFIG), [([make_det()], [make_gt()])])
-        before = acc.copy()
         header, body = self.raw(tp_buckets=([1, 3], [2, 5]), gt_counts=([0], [1]))
-        for bad in (body[:-1], body + b"\x00"):
-            with pytest.raises(ValueError):
-                self.load(header, bad, into=acc)
-        assert_states_equal(acc, before)
+        for bad, error in ((body[:-1], "truncated snapshot"), (body + b"\x00", "trailing bytes")):
+            assert error in self.merge_fails(tmp_path, capsys, acc, header, bad)
 
-    def test_config_mismatch_leaves_into_unchanged(self):
+    def test_config_mismatch_leaves_into_unchanged(self, tmp_path, capsys):
         other = dataclasses.replace(self.CONFIG, buckets=5)
         acc = update(new_state(other), [([make_det()], [make_gt()])])
-        before = acc.copy()
         header, body = self.snapshot()
-        with pytest.raises(MergeError, match="differing configs"):
-            self.load(header, body, into=acc)
-        assert_states_equal(acc, before)
+        err = self.merge_fails(tmp_path, capsys, acc, header, body)
+        assert "config mismatch between" in err and "acc.state" in err and "next.state" in err
 
     @pytest.mark.parametrize("stream", [io.BytesIO, SevenByteStream])
     def test_truncated_body(self, stream):
