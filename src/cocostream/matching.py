@@ -6,12 +6,16 @@ highest IoU when that IoU reaches the threshold; otherwise it is a false
 positive. Area filtering removes both detections and ground truths before
 matching, and max-dets truncation happens after area filtering.
 
-match_image and match_batch serve both evaluation paths. match_image runs
-one rank-major greedy loop per image at the largest max-dets limit: step r
-matches the rank-r detection of every (class, area) cell, for every IoU
-threshold at once, against a taken mask per (threshold, area). The result
-is one columnar Matches record. Each smaller limit is a prefix of that
-match, since greedy matching never revisits an earlier detection.
+match_batch serves both evaluation paths (match_image is a batch of one).
+It matches a batch at the largest max-dets limit in one rank-major greedy
+loop: step s matches the s-th live detection of every (image, class, area)
+cell, for every IoU threshold at once, against a taken mask per (threshold,
+image, area). A detection is live when some ground truth it may take has
+IoU >= the lowest threshold; any other is an FP at every threshold and
+takes nothing, so skipping it changes no verdict. Each smaller limit is a
+prefix of that match, since greedy matching never revisits an earlier
+detection. Batches are matched in chunks of consecutive images, so that
+no IoU matrix passes about _CHUNK_ELEMENTS entries plus one image's.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ import numpy as np
 
 from .config import EvalConfig
 from .geometry import PADDING_CLASS_ID, Detection, GroundTruth
+
+# Cap on a chunk's IoU matrix, (columns + images) x padded ground-truth width.
+_CHUNK_ELEMENTS = 1 << 16
 
 
 class MatchingError(ValueError):
@@ -62,32 +69,41 @@ def match_image(
     ground_truths: Sequence[GroundTruth],
     config: EvalConfig,
 ) -> Matches:
-    """Match one image over every (class, area) cell in one greedy loop.
+    """match_batch of the one pair (detections, ground_truths)."""
+    return match_batch([(detections, ground_truths)], config)
+
+
+def match_batch(
+    pairs: Iterable[tuple[Sequence[Detection], Sequence[GroundTruth]]],
+    config: EvalConfig,
+) -> Matches:
+    """Match every (detections, ground_truths) pair in one greedy loop.
 
     Padding entries are stripped internally. Class ids must lie in
-    [0, config.num_classes) after stripping; one image may hold any mix of
-    them. Each (class, threshold, area, limit) cell equals a brute-force
-    greedy match of that class alone (asserted by tests). The IoU matrix
-    is computed once per image. Step r of the loop matches the rank-r
-    detection of every cell, for every IoU threshold at once, against a
-    taken mask per (threshold, area). That is exact: the detections of one
-    rank lie in distinct (class, area) cells, and each may take only ground
-    truths of its own class in its own area, so no two of them compete.
+    [0, config.num_classes) after stripping; an image may hold any mix of
+    them, and MatchingError names the smallest bad id of the first image
+    that has one. Each (image, class, threshold, area, limit) cell equals a
+    brute-force greedy match of that image and class alone (asserted by
+    tests). Step s of the loop is exact: its columns lie in distinct
+    (image, class, area) cells, and each may take only ground truths of its
+    own image and class in its own area, so no two of them compete.
     """
-    det_cls = np.array([d.class_id for d in detections], dtype=np.int64)
-    gt_cls = np.array([g.class_id for g in ground_truths], dtype=np.int64)
-    ids = np.concatenate([det_cls, gt_cls])
-    bad = ids[(ids != PADDING_CLASS_ID) & ((ids < 0) | (ids >= config.num_classes))]
-    if bad.size:
-        raise MatchingError(f"class id {bad.min()} outside [0, {config.num_classes})")
-    real_det = det_cls != PADDING_CLASS_ID
-    real_gt = gt_cls != PADDING_CLASS_ID
-    confs = np.array([d.confidence for d in detections], dtype=float)[real_det]
-    det_cls = det_cls[real_det]
-    order = np.lexsort((-confs, det_cls))  # stable: ties keep input order
-    det_cls, confs = det_cls[order], confs[order]
-    det_boxes = _box_array(detections)[real_det][order]
-    gt_cls, gt_boxes = gt_cls[real_gt], _box_array(ground_truths)[real_gt]
+    pairs = list(pairs)
+    dets = [d for ds, _ in pairs for d in ds]
+    gts = [g for _, gs in pairs for g in gs]
+    det_img = np.repeat(np.arange(len(pairs)), [len(ds) for ds, _ in pairs])
+    gt_img = np.repeat(np.arange(len(pairs)), [len(gs) for _, gs in pairs])
+    det_cls = np.array([d.class_id for d in dets], dtype=np.int64)
+    gt_cls = np.array([g.class_id for g in gts], dtype=np.int64)
+    ids, ids_img = np.concatenate([det_cls, gt_cls]), np.concatenate([det_img, gt_img])
+    bad = (ids != PADDING_CLASS_ID) & ((ids < 0) | (ids >= config.num_classes))
+    if bad.any():
+        bad_id = ids[bad & (ids_img == ids_img[bad].min())].min()
+        raise MatchingError(f"class id {bad_id} outside [0, {config.num_classes})")
+    real_det, real_gt = det_cls != PADDING_CLASS_ID, gt_cls != PADDING_CLASS_ID
+    confs = np.array([d.confidence for d in dets], dtype=float)[real_det]
+    det_img, det_cls, det_boxes = det_img[real_det], det_cls[real_det], _box_array(dets)[real_det]
+    gt_img, gt_cls, gt_boxes = gt_img[real_gt], gt_cls[real_gt], _box_array(gts)[real_gt]
 
     lo, hi = np.array([(r.min_area, r.max_area) for _, r in config.area_ranges]).T[..., None]
     det_areas, gt_areas = _areas(det_boxes), _areas(gt_boxes)
@@ -98,49 +114,50 @@ def match_image(
         gt_cls[g_in] * areas + a_in, minlength=config.num_classes * areas
     ).reshape(config.num_classes, areas)
 
-    # Columns in (area, class, rank) order: detections are sorted by class,
-    # so each cell's detections are one run of consecutive columns.
+    # Columns in (image, area, class, rank) order, rank by descending
+    # confidence; np.nonzero yields each cell's detections in input order.
     area, det = np.nonzero((det_areas >= lo) & (det_areas < hi))
-    cell = area * config.num_classes + det_cls[det]
+    cell = (det_img[det] * areas + area) * config.num_classes + det_cls[det]
+    by_cell = np.lexsort((-confs[det], cell))  # stable: ties keep input order
+    area, det, cell = area[by_cell], det[by_cell], cell[by_cell]
     rank = np.arange(len(cell)) - np.searchsorted(cell, cell)
     keep = rank < config.max_dets_list[-1]
-    area, det, rank = area[keep], det[keep], rank[keep]
-    cls = det_cls[det]
+    area, det, rank, cell = area[keep], det[keep], rank[keep], cell[keep]
+    img, cls = det_img[det], det_cls[det]
 
     thetas = np.array(config.iou_thresholds)[:, None]
     tp = np.zeros((len(thetas), len(det)), dtype=bool)
-    taken = np.zeros((len(thetas), areas, len(gt_cls)), dtype=bool)
-    eligible = (gt_cls == cls[:, None]) & gt_in[area]
-    ious = np.where(eligible, _iou_matrix(det_boxes, gt_boxes)[det], -1.0)
-    for r in range(rank.max(initial=-1) + 1 if len(gt_cls) else 0):
-        at = np.nonzero(rank == r)[0]
-        avail = np.where(taken[:, area[at]], -1.0, ious[at])  # (thetas, cells, gts)
-        best = avail.argmax(axis=-1)  # first max: lowest gt index wins ties
-        hit = avail.max(axis=-1) >= thetas
-        t, c = np.nonzero(hit)
-        taken[t, area[at[c]], best[t, c]] = True
-        tp[:, at] = hit
+    slot = np.arange(len(gt_img)) - np.searchsorted(gt_img, gt_img)  # index in its image
+    # A chunk of consecutive images starts at each image whose first row
+    # passes a multiple of _CHUNK_ELEMENTS // (the batch's width). An image's
+    # rows are its columns, plus one for its padded ground truths.
+    rows = np.bincount(img, minlength=len(pairs)) + 1
+    chunk = (np.cumsum(rows) - rows) // max(_CHUNK_ELEMENTS // (slot.max(initial=0) + 1), 1)
+    bounds = [*np.flatnonzero(np.diff(chunk, prepend=-1)).tolist(), len(pairs)]
+    for first, last in zip(bounds, bounds[1:]):
+        c0, c1 = np.searchsorted(img, (first, last))
+        g = slice(*np.searchsorted(gt_img, (first, last)))
+        # Each image's ground truths, padded to the chunk's widest image.
+        padded = np.full((last - first, slot[g].max(initial=-1) + 1), -1)
+        padded[gt_img[g] - first, slot[g]] = np.arange(g.start, g.stop)
+        gi = padded[img[c0:c1] - first]  # (columns, width) gt index, -1 for padding
+        eligible = (gi >= 0) & (gt_cls[gi] == cls[c0:c1, None]) & gt_in[area[c0:c1, None], gi]
+        ious = np.where(eligible, _iou(det_boxes[det[c0:c1], None], gt_boxes[gi]), -1.0)
+        # Only live columns step (see the module docstring).
+        live = np.flatnonzero(ious.max(axis=1, initial=-1.0) >= thetas.min())
+        step = np.arange(len(live)) - np.searchsorted(cell[c0 + live], cell[c0 + live])
+        taken = np.zeros((len(thetas), (last - first) * areas, gi.shape[1]), dtype=bool)
+        at_slot = (img[c0:c1] - first) * areas + area[c0:c1]  # (image, area) of each column
+        for s in range(step.max(initial=-1) + 1):
+            at = live[step == s]
+            avail = np.where(taken[:, at_slot[at]], -1.0, ious[at])  # (thetas, cells, width)
+            best = avail.argmax(axis=-1)  # first max: lowest gt index wins ties
+            hit = avail.max(axis=-1) >= thetas
+            t, c = np.nonzero(hit)
+            taken[t, at_slot[at[c]], best[t, c]] = True
+            tp[:, c0 + at] = hit
 
     return Matches(config, cls, area, rank, confs[det], tp, gt_counts)
-
-
-def match_batch(
-    pairs: Iterable[tuple[Sequence[Detection], Sequence[GroundTruth]]],
-    config: EvalConfig,
-) -> Matches:
-    """match_image per (detections, ground_truths) pair, joined in batch order."""
-    records = [match_image(dets, gts, config) for dets, gts in pairs]
-    gt_counts = sum(
-        (r.gt_counts for r in records),
-        np.zeros((config.num_classes, len(config.area_ranges)), dtype=np.int64),
-    )
-    empty = (np.zeros(0, dtype=np.int64),) * 3 + (
-        np.zeros(0),
-        np.zeros((len(config.iou_thresholds), 0), dtype=bool),
-    )
-    blocks = [(r.cls, r.area, r.rank, r.confidences, r.tp) for r in records]
-    columns = [np.concatenate(column, axis=-1) for column in zip(empty, *blocks)]
-    return Matches(config, *columns, gt_counts)
 
 
 def _box_array(items: Sequence[Detection] | Sequence[GroundTruth]) -> np.ndarray:
@@ -151,17 +168,16 @@ def _box_array(items: Sequence[Detection] | Sequence[GroundTruth]) -> np.ndarray
 
 
 def _areas(boxes: np.ndarray) -> np.ndarray:
-    """Same product as geometry.box_area, per row."""
-    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    """Same product as geometry.box_area, per box on the last axis."""
+    return (boxes[..., 2] - boxes[..., 0]) * (boxes[..., 3] - boxes[..., 1])
 
 
-def _iou_matrix(db: np.ndarray, gb: np.ndarray) -> np.ndarray:
-    if not len(db) or not len(gb):
-        return np.zeros((len(db), len(gb)))
-    iw = np.minimum(db[:, None, 2], gb[None, :, 2]) - np.maximum(db[:, None, 0], gb[None, :, 0])
-    ih = np.minimum(db[:, None, 3], gb[None, :, 3]) - np.maximum(db[:, None, 1], gb[None, :, 1])
+def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Same value as geometry.iou, per pair of boxes (..., 4) broadcast."""
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)
-    union = _areas(db)[:, None] + _areas(gb)[None, :] - inter
+    union = _areas(a) + _areas(b) - inter
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.where(union > 0.0, inter / np.where(union > 0.0, union, 1.0), 0.0)
     return out

@@ -115,7 +115,7 @@ def add_matches(state: BucketedState, matches: Matches) -> BucketedState:
     b_of = bucket_index(matches.confidences, state.config.buckets)
     tp_index, fp_index = matches.kept_verdicts()
     for hist, (t, k, a, m, j) in ((state.tp_buckets, tp_index), (state.fp_buckets, fp_index)):
-        np.add.at(hist, (t, k, a, m, b_of[j]), 1)
+        np.add.at(hist.reshape(-1), np.ravel_multi_index((t, k, a, m, b_of[j]), hist.shape), 1)
     state.gt_counts += matches.gt_counts
     return state
 

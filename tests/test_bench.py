@@ -2,7 +2,7 @@
 both evaluation paths, so its rows equal the two public paths run apart."""
 
 from cocostream import EvalConfig, evaluate_exact, finalize, load_ground_truth, new_state, update
-from cocostream import matching
+from cocostream import bench
 from cocostream.bench import run_synth_bench, synthetic_runs
 from cocostream.ingest import PerturbationParams
 
@@ -33,14 +33,15 @@ def test_rows_equal_update_and_evaluate_exact():
 
 
 def test_each_synthetic_image_matched_once(monkeypatch):
-    calls = []
-    match_image = matching.match_image
+    pairs = []
+    match_batch = bench.match_batch
 
-    def counting(detections, ground_truths, config):
-        calls.append(1)
-        return match_image(detections, ground_truths, config)
+    def counting(batch, config):
+        batch = list(batch)
+        pairs.extend(batch)
+        return match_batch(batch, config)
 
-    monkeypatch.setattr(matching, "match_image", counting)
+    monkeypatch.setattr(bench, "match_batch", counting)
     gt = _pool()
     run_synth_bench(gt, EvalConfig(num_classes=gt.num_classes), COUNTS, REPEATS, SEED)
-    assert len(calls) == sum(COUNTS) * REPEATS
+    assert len(pairs) == sum(COUNTS) * REPEATS

@@ -3,14 +3,19 @@ against the scalar references: the brute-force greedy_cell per grid cell,
 bucket_index per confidence, a global sort of greedy_cell verdicts for
 evaluate_exact, and the dense per-cell reducer for finalize.
 
+match_batch is also held to the per-image match_image records joined in
+batch order, with the chunk cap patched so that batches split into chunks.
+
 Max-dets limits are drawn from 1-6, so prefixes of the single match at the
 largest limit really get cut; a few repeated confidences produce confidence
 ties, and ground-truth pairs mirrored about a detection's box tie in IoU.
 """
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +31,8 @@ from cocostream import (
     new_state,
     update,
 )
-from cocostream.matching import match_image
+from cocostream import matching
+from cocostream.matching import match_batch, match_image
 
 from conftest import cell_result, make_det, make_gt, random_dataset
 from reference import dense_finalize, greedy_cell, metric_report
@@ -110,7 +116,7 @@ def test_match_image_cells_equal_reference(config, image):
 
 
 @settings(max_examples=150, deadline=None)
-@given(config=configs, batch=st.lists(images, max_size=3))
+@given(config=configs, batch=st.lists(images, max_size=6))
 def test_update_equals_scalar_reference(config, batch):
     want = new_state(config)
     for dets, gts in batch:
@@ -130,6 +136,50 @@ def test_update_equals_scalar_reference(config, batch):
     np.testing.assert_array_equal(got.tp_buckets, want.tp_buckets)
     np.testing.assert_array_equal(got.fp_buckets, want.fp_buckets)
     np.testing.assert_array_equal(got.gt_counts, want.gt_counts)
+
+
+padding = BoundingBox(0.0, 0.0, 0.0, 0.0)
+padding_images = st.tuples(  # all padding, or empty
+    st.lists(st.just(Detection(padding, -1, 0.0)), max_size=4),
+    st.lists(st.just(GroundTruth(padding, -1)), max_size=4),
+)
+no_gt_images = st.tuples(st.lists(detections, max_size=8), st.just([]))
+
+
+@pytest.mark.parametrize(
+    "cap",
+    [
+        matching._CHUNK_ELEMENTS,
+        16,  # chunks of a few images each
+        -1,  # every product passes it, so each image is its own chunk
+    ],
+)
+@settings(max_examples=150, deadline=None)
+@given(config=configs, batch=st.lists(st.one_of(images, padding_images, no_gt_images), max_size=6))
+@example(  # in both images the detection ties between two mirrored gts
+    config=EvalConfig(num_classes=NUM_CLASSES, iou_thresholds=(0.5, 0.75), buckets=7),
+    batch=[
+        (
+            [make_det(10, 10, 30, 30, confidence=0.9), make_det(12, 10, 32, 30)],
+            [make_gt(8, 10, 28, 30), make_gt(12, 10, 32, 30)],
+        ),
+        ([], []),
+        (
+            [make_det(10, 10, 30, 30, confidence=0.9), make_det(8, 10, 28, 30)],
+            [make_gt(12, 10, 32, 30), make_gt(8, 10, 28, 30)],
+        ),
+    ],
+)
+def test_match_batch_equals_per_image_records_joined(cap, config, batch):
+    with mock.patch.object(matching, "_CHUNK_ELEMENTS", cap):
+        got = match_batch(batch, config)
+    records = [match_image([], [], config)] + [match_image(d, g, config) for d, g in batch]
+    assert got.config == config
+    for field in ("cls", "area", "rank", "confidences", "tp"):
+        want = np.concatenate([getattr(r, field) for r in records], axis=-1)
+        assert getattr(got, field).dtype == want.dtype
+        np.testing.assert_array_equal(getattr(got, field), want)
+    np.testing.assert_array_equal(got.gt_counts, sum(r.gt_counts for r in records))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cocostream import AreaRange, ConfigError, EvalConfig, MatchingError
-from cocostream.matching import match_image
+from cocostream.matching import match_batch, match_image
 
 from conftest import cell_result, make_det, make_gt, random_image
 from reference import greedy_cell
@@ -167,8 +168,21 @@ class TestMatchImage:
         assert verdict_flags(cell_result(matches, 0, 0, medium, 2)) == [False, True]
 
     def test_out_of_range_class_rejected(self, small_config):
-        with pytest.raises(MatchingError):
+        with pytest.raises(MatchingError, match=re.escape("class id 99 outside [0, 3)")):
             match_image([make_det(class_id=99, confidence=0.5)], [], small_config)
+
+    def test_batch_names_smallest_bad_id_of_first_bad_image(self, small_config):
+        # Images 2 and 3 both hold bad ids; image 3's 5 is the batch's
+        # smallest, but image 2 comes first, so its smallest id, 7, is named.
+        good = ([make_det(confidence=0.5)], [make_gt()])
+        batch = [
+            good,
+            good,
+            ([make_det(class_id=9, confidence=0.5)], [make_gt(class_id=7), make_gt(class_id=-1)]),
+            ([make_det(class_id=5, confidence=0.5)], [make_gt(class_id=1)]),
+        ]
+        with pytest.raises(MatchingError, match=re.escape("class id 7 outside [0, 3)")):
+            match_batch(batch, small_config)
 
     def test_grid_path_agrees_with_reference_per_cell(self, small_config):
         # every cell of the per-image loop must equal the brute-force cell
