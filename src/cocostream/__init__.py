@@ -1,7 +1,7 @@
 """Streaming, mergeable COCO detection metrics with an exact reference oracle."""
 
 from .config import AreaRange, ConfigError, EvalConfig, MetricReport, UNDEFINED
-from .geometry import BoundingBox, Detection, GroundTruth, box_area, iou, strip_padding
+from .geometry import BoundingBox, Detection, GroundTruth
 from .ingest import (
     Dataset,
     ImageRecord,
@@ -45,12 +45,10 @@ __all__ = [
     "PerturbationParams",
     "UNDEFINED",
     "ValidationError",
-    "box_area",
     "bucket_index",
     "evaluate_exact",
     "finalize",
     "interpolate_ap",
-    "iou",
     "load_detections",
     "load_ground_truth",
     "load_state",
@@ -60,7 +58,6 @@ __all__ = [
     "perturb",
     "sample_images",
     "save_state",
-    "strip_padding",
     "update",
 ]
 

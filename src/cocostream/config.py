@@ -40,9 +40,6 @@ class AreaRange:
                 f"max_area must exceed min_area: [{self.min_area}, {self.max_area})"
             )
 
-    def contains(self, area: float) -> bool:
-        return self.min_area <= area < self.max_area
-
 
 @dataclass(frozen=True)
 class EvalConfig:

@@ -1,15 +1,14 @@
-"""Bounding box primitives: corner-format boxes, IoU, area, padding removal.
+"""Bounding box value types: corner-format boxes, ground truths, detections.
 
 Boxes use (left, top, right, bottom) corner coordinates in continuous pixel
-units. Areas are exact products with no +1 discretization. Entries with a
-class id of -1 are padding and carry no information.
+units. Entries with a class id of -1 are padding and carry no information.
+Area, IoU and padding removal are computed in cocostream.matching.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, TypeVar
 
 PADDING_CLASS_ID = -1
 
@@ -61,33 +60,3 @@ class Detection:
                 f"confidence must lie in [0, 1], got {self.confidence}"
             )
 
-
-def box_area(a: BoundingBox) -> float:
-    """Area of a corner-format box in pixels squared."""
-    return (a.right - a.left) * (a.bottom - a.top)
-
-
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over union of two boxes.
-
-    Returns 0 when the union has zero area, so degenerate boxes have IoU 0
-    against everything including themselves.
-    """
-    iw = min(a.right, b.right) - max(a.left, b.left)
-    ih = min(a.bottom, b.bottom) - max(a.top, b.top)
-    if iw <= 0.0 or ih <= 0.0:
-        inter = 0.0
-    else:
-        inter = iw * ih
-    union = box_area(a) + box_area(b) - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
-
-
-_Boxed = TypeVar("_Boxed", GroundTruth, Detection)
-
-
-def strip_padding(boxes: Iterable[_Boxed]) -> list[_Boxed]:
-    """Drop entries with class_id == -1, preserving order. Idempotent."""
-    return [b for b in boxes if b.class_id != PADDING_CLASS_ID]

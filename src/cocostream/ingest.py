@@ -130,9 +130,16 @@ def _corner_box(entry: object, where: str) -> BoundingBox:
 def load_ground_truth(source: Source) -> Dataset:
     """Build a ground-truth-only dataset from an annotation document."""
     doc = _load_document(source)
+    if not isinstance(doc, dict):
+        raise ParseError(f"annotation document must be a JSON object, got {type(doc).__name__}")
     for section in ("images", "annotations", "categories"):
         if section not in doc:
             raise ParseError(f"annotation document missing '{section}' section")
+        if not isinstance(doc[section], list):
+            raise ParseError(
+                f"annotation document '{section}' section must be a list,"
+                f" got {type(doc[section]).__name__}"
+            )
 
     category_ids = tuple(
         sorted(_id(c, "id", f"categories[{i}]") for i, c in enumerate(doc["categories"]))

@@ -168,12 +168,17 @@ def _box_array(items: Sequence[Detection] | Sequence[GroundTruth]) -> np.ndarray
 
 
 def _areas(boxes: np.ndarray) -> np.ndarray:
-    """Same product as geometry.box_area, per box on the last axis."""
+    """Area of each (left, top, right, bottom) box on the last axis: the
+    exact product width * height, with no +1. An area range [min, max) holds
+    the boxes with min <= area < max."""
     return (boxes[..., 2] - boxes[..., 0]) * (boxes[..., 3] - boxes[..., 1])
 
 
 def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Same value as geometry.iou, per pair of boxes (..., 4) broadcast."""
+    """Intersection over union of each pair of boxes, (..., 4) broadcast.
+
+    Boxes that only touch do not intersect. The IoU is 0 when the union is
+    0, so a zero-area box has IoU 0 with everything, itself included."""
     iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
     ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
     inter = np.clip(iw, 0.0, None) * np.clip(ih, 0.0, None)

@@ -13,6 +13,7 @@ associative and commutative.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Sequence
 
@@ -349,7 +350,11 @@ def _read_entries(fp: BinaryIO) -> tuple[EvalConfig, dict[str, tuple[np.ndarray,
         )
     entries = {}
     for (name, shape), n in zip(shapes.items(), nonzero):
-        size = int(np.prod(shape))
+        size = math.prod(shape)
+        if size > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"snapshot array {name}: its {size} counters do not fit int64 indices"
+            )
         if not (isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= size):
             raise ValueError(
                 f"snapshot array {name}: nonzero must be an int in [0, {size}], got {n!r}"

@@ -2,7 +2,9 @@
 
 Matching: brute_force_tp_flags is an independent greedy matcher with its
 own IoU arithmetic and explicit scans, and greedy_cell applies it to one
-(class, threshold, area, max-dets) grid cell of match_image.
+(class, threshold, area, max-dets) grid cell of match_image, with its own
+area product and range test. Nothing here imports box arithmetic from
+cocostream (tests/test_api.py checks the imports).
 
 Reduction: finalize in cocostream.streaming reduces only the occupied
 buckets and fills one AP array; dense_finalize keeps the form it replaced,
@@ -20,7 +22,6 @@ from cocostream import (
     BucketedState,
     EvalConfig,
     MetricReport,
-    box_area,
     interpolate_ap,
 )
 
@@ -59,10 +60,13 @@ def greedy_cell(dets, gts, theta: float, max_dets: int, area: AreaRange):
     """One class's grid cell: both sides filtered by area, detections
     stably sorted by descending confidence and cut at max_dets, then
     brute-force matched. Returns (((confidence, is_tp), ...), gt_count)."""
-    gts = [g for g in gts if area.contains(box_area(g.box))]
-    dets = sorted(
-        (d for d in dets if area.contains(box_area(d.box))), key=lambda d: -d.confidence
-    )[:max_dets]
+
+    def in_area(box) -> bool:
+        a = (box.right - box.left) * (box.bottom - box.top)
+        return area.min_area <= a < area.max_area
+
+    gts = [g for g in gts if in_area(g.box)]
+    dets = sorted((d for d in dets if in_area(d.box)), key=lambda d: -d.confidence)[:max_dets]
     flags = brute_force_tp_flags(dets, gts, theta)
     return tuple((d.confidence, f) for d, f in zip(dets, flags)), len(gts)
 

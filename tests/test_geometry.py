@@ -1,12 +1,27 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cocostream import BoundingBox, Detection, box_area, iou, strip_padding
+from cocostream import BoundingBox, Detection
+from cocostream.matching import _areas, _iou
 
 from conftest import make_box, make_det, make_gt
+
+
+def corners(*boxes: BoundingBox) -> np.ndarray:
+    """(len(boxes), 4) corner coordinates, the layout matching works on."""
+    return np.array([[b.left, b.top, b.right, b.bottom] for b in boxes], dtype=float)
+
+
+def box_area(a: BoundingBox) -> float:
+    return float(_areas(corners(a))[0])
+
+
+def iou(a: BoundingBox, b: BoundingBox) -> float:
+    return float(_iou(corners(a), corners(b))[0])
 
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -56,11 +71,14 @@ class TestIou:
     def test_touching_edges_do_not_intersect(self):
         assert iou(make_box(0, 0, 1, 1), make_box(1, 0, 2, 1)) == 0.0
 
-    @given(boxes(), boxes())
+    @given(st.lists(boxes(), min_size=1, max_size=4), st.lists(boxes(), min_size=1, max_size=4))
     def test_symmetric_and_bounded(self, a, b):
-        v = iou(a, b)
-        assert v == iou(b, a)
-        assert 0.0 <= v <= 1.0
+        # (n, 1, 4) against (1, m, 4) broadcasts to every pair, as in match_batch
+        got = _iou(corners(*a)[:, None], corners(*b)[None])
+        assert got.shape == (len(a), len(b))
+        np.testing.assert_array_equal(got, _iou(corners(*b)[:, None], corners(*a)[None]).T)
+        assert ((0.0 <= got) & (got <= 1.0)).all()
+        assert got.tolist() == [[iou(x, y) for y in b] for x in a]
 
     @given(boxes())
     def test_self_iou_is_one_for_positive_area(self, a):
@@ -75,23 +93,9 @@ class TestBoxArea:
     def test_small_medium_boundary(self):
         assert box_area(make_box(0, 0, 32, 32)) == 1024
 
-
-class TestStripPadding:
-    def test_empty(self):
-        assert strip_padding([]) == []
-
-    def test_drops_padding_preserving_order(self):
-        items = [make_gt(class_id=-1), make_gt(class_id=3), make_gt(class_id=-1)]
-        assert strip_padding(items) == [items[1]]
-
-    def test_identity_when_no_padding(self):
-        items = [make_det(class_id=0), make_det(class_id=2)]
-        assert strip_padding(items) == items
-
-    def test_idempotent(self):
-        items = [make_gt(class_id=-1), make_gt(class_id=1), make_gt(class_id=0)]
-        once = strip_padding(items)
-        assert strip_padding(once) == once
+    def test_one_area_per_box_on_leading_axes(self):
+        grid = corners(make_box(0, 0, 10, 10), make_box(1, 2, 4, 7), make_box(3, 4, 3, 9))
+        assert _areas(grid.reshape(3, 1, 4)).tolist() == [[100.0], [15.0], [0.0]]
 
 
 class TestRecordValidation:

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from cocostream import (
     perturb,
     sample_images,
 )
+from cocostream.cli import main
 from cocostream.ingest import dataset_to_annotation_doc, dataset_to_results_doc
 
 
@@ -60,6 +63,27 @@ class TestLoadGroundTruth:
     def test_missing_section_rejected(self):
         with pytest.raises(ParseError):
             load_ground_truth({"images": [], "annotations": []})
+
+    @pytest.mark.parametrize(
+        "doc, error",
+        [
+            (5, "must be a JSON object, got int"),
+            (None, "must be a JSON object, got NoneType"),
+            ([], "must be a JSON object, got list"),
+            ({**minimal_doc(), "images": None}, "'images' section must be a list, got NoneType"),
+            ({**minimal_doc(), "annotations": 5}, "'annotations' section must be a list, got int"),
+            ({**minimal_doc(), "categories": 7}, "'categories' section must be a list, got int"),
+        ],
+    )
+    def test_document_or_section_of_wrong_type(self, tmp_path, capsys, doc, error):
+        gt, det = tmp_path / "gt.json", tmp_path / "det.json"
+        gt.write_text(json.dumps(doc))
+        det.write_text("[]")
+        with pytest.raises(ParseError, match=re.escape(f"annotation document {error}")):
+            load_ground_truth(gt)
+        assert main(["evaluate", str(gt), str(det)]) == 2
+        err = capsys.readouterr().err
+        assert error in err and "Traceback" not in err
 
     def test_invalid_json_file_names_location(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -66,6 +66,9 @@ class TestMatchImageClass:
         # equal confidences keep input order, so the disjoint first one is an FP
         tied = [make_det(20, 20, 30, 30, confidence=0.5), make_det(0, 0, 10, 10, confidence=0.5)]
         assert verdict_flags(one_cell(tied, gt)) == [False, True]
+        # padding between them, even on the gt itself, leaves that order as is
+        pad = make_det(0, 0, 10, 10, class_id=-1, confidence=0.5)
+        assert verdict_flags(one_cell([pad, tied[0], pad, tied[1], pad], gt)) == [False, True]
 
     def test_highest_iou_gt_consumed_first(self):
         gts = [make_gt(0, 0, 10, 8), make_gt(0, 0, 10, 10)]
@@ -142,6 +145,10 @@ class TestMatchImage:
         gts = [make_gt(class_id=-1), make_gt(class_id=0)]
         matches = match_image(dets, gts, small_config)
         assert cell_result(matches, 0, 0, 0, 2) == (((0.8, True),), 1)
+        # stripping the padding first gives the same record, column for column
+        stripped = match_image(dets[1:], gts[1:], small_config)
+        for field in ("cls", "area", "rank", "confidences", "tp", "gt_counts"):
+            np.testing.assert_array_equal(getattr(matches, field), getattr(stripped, field))
 
     def test_ground_truth_taken_per_threshold(self):
         # The first detection claims the gt at IoU 0.6 only under theta 0.5,

@@ -30,7 +30,7 @@ from cocostream import (
 from cocostream.cli import main
 from cocostream.config import METRIC_NAMES
 from cocostream.matching import match_batch
-from cocostream.streaming import _add_entries, _read_entries, _write_entries, add_matches
+from cocostream.streaming import _add_entries, _header, _read_entries, _write_entries, add_matches
 
 from conftest import make_det, make_gt, random_dataset
 
@@ -403,20 +403,21 @@ SNAPSHOT_CONFIGS = (
 
 
 @st.composite
-def states(draw, config):
+def states(draw, config, high=2**61):
     """A state of config: all zero, one array full, or a random few counters
-    per array, with counts up to 2**61 so that two states still add exactly."""
+    per array, with counts below high; below 2**61, four states still add
+    exactly."""
     state = new_state(config)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fill = draw(st.sampled_from(["zero", "full", "sparse"]))
     arrays = [a.reshape(-1) for a in (state.tp_buckets, state.fp_buckets, state.gt_counts)]
     if fill == "full":
         flat = draw(st.sampled_from([a for a in arrays if a.size <= 10_000]))
-        flat[:] = rng.integers(1, 2**61, size=flat.size)
+        flat[:] = rng.integers(1, high, size=flat.size)
     elif fill == "sparse":
         for flat in arrays:
             k = draw(st.integers(0, min(flat.size, 64)))
-            flat[rng.choice(flat.size, size=k, replace=False)] = rng.integers(1, 2**61, size=k)
+            flat[rng.choice(flat.size, size=k, replace=False)] = rng.integers(1, high, size=k)
     return state
 
 
@@ -460,9 +461,10 @@ MERGE_CONFIGS = (
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_cli_merge_equals_dense_merge_fold(data):
-    # counts reach 2**61, so a sum taken in float64 would lose low bits
+    # counts reach 2**63 // 5, so five shards add exactly in int64, while a
+    # sum taken in float64 would lose low bits
     config = data.draw(st.sampled_from(MERGE_CONFIGS))
-    shards = data.draw(st.lists(states(config), min_size=1, max_size=5))
+    shards = data.draw(st.lists(states(config, high=2**63 // 5), min_size=1, max_size=5))
     order = data.draw(st.permutations(range(len(shards))))
     want = shards[0]
     for shard in shards[1:]:
@@ -547,6 +549,19 @@ class TestLoadStateRejects:
         header, body = self.raw(fp_buckets=(indices, [1, 1]))
         with pytest.raises(ValueError, match="fp_buckets: indices must be strictly increasing"):
             self.load(header, body)
+
+    def test_grid_size_past_int64(self, tmp_path, capsys):
+        # 10 * 10**17 * 4 * 3 * 10000 counters: the flat size wraps in int64
+        config = EvalConfig(num_classes=10**17)
+        data = _header(config, [1, 0, 0]) + np.array([5, 1], "<i8").tobytes()
+        error = "snapshot array tp_buckets: its 120000000000000000000000 counters do not fit"
+        with pytest.raises(ValueError, match=error):
+            _read_entries(io.BytesIO(data))
+        path, out = tmp_path / "huge.state", tmp_path / "merged.state"
+        path.write_bytes(data)
+        assert main(["merge", str(path), "--output", str(out)]) == 2
+        assert error in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stored_zero(self):
         header, body = self.raw(tp_buckets=([1, 2], [3, 0]))
