@@ -1,4 +1,4 @@
-"""Command-line front end: evaluate, merge, synth-bench."""
+"""Command-line front end: evaluate, merge, report, synth-bench."""
 
 from __future__ import annotations
 
@@ -22,16 +22,15 @@ from .ingest import (
     load_detections,
     load_ground_truth,
 )
+from .matching import match_batch
 from .oracle import evaluate_exact
 from .streaming import (
     MergeError,
     _add_entries,
+    _finalize_entries,
+    _match_entries,
     _read_entries,
     _write_entries,
-    finalize,
-    new_state,
-    save_state,
-    update,
 )
 
 def _flag_type(parse):
@@ -172,23 +171,28 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.mode == "exact":
         report = evaluate_exact(pairs, config)
     else:
-        state = update(new_state(config), pairs)
+        # The snapshot entries come straight from the matches: no dense state.
+        entries = _match_entries(match_batch(pairs, config))
+        report = _finalize_entries(config, entries)
         if args.state_out:
             with open(args.state_out, "wb") as fh:
-                save_state(state, fh)
-        report = finalize(state)
+                _write_entries(fh, config, entries)
     with _output(args.output, sys.stdout) as out:
         _write_report(report, args.format, out)
     return 0
 
 
-def _cmd_merge(args: argparse.Namespace) -> int:
-    """Sum the snapshots' stored entries, with no dense state; every input is
-    read and checked before the output is opened."""
+def _sum_snapshots(paths) -> tuple[EvalConfig, dict]:
+    """The config and summed entries of the snapshots at paths, with no
+    dense state; every input is read and checked, and an error names the
+    file it comes from."""
     config = total = prev_path = None
-    for path in args.states:
+    for path in paths:
         with open(path, "rb") as fh:
-            path_config, entries = _read_entries(fh)
+            try:
+                path_config, entries = _read_entries(fh)
+            except (ValueError, MemoryError) as exc:
+                raise ValueError(f"{exc} (reading {path})") from None
         if total is None:
             config, total = path_config, entries
         elif path_config.to_dict() != config.to_dict():
@@ -199,8 +203,20 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             except ValueError as exc:
                 raise ValueError(f"adding {path}: {exc}") from None
         prev_path = path
+    return config, total
+
+
+def _cmd_merge(args: argparse.Namespace) -> int:
+    config, total = _sum_snapshots(args.states)
     with open(args.output, "wb") as fh:
         _write_entries(fh, config, total)
+    return 0
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    report = _finalize_entries(*_sum_snapshots(args.states))
+    with _output(args.output, sys.stdout) as out:
+        _write_report(report, args.format, out)
     return 0
 
 
@@ -276,6 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.add_argument("states", nargs="+", help="state snapshot files")
     p_merge.add_argument("--output", required=True, help="merged snapshot path")
     p_merge.set_defaults(func=_cmd_merge)
+
+    p_report = sub.add_parser(
+        "report", help="compute the 12 COCO metrics of the sum of state snapshots"
+    )
+    p_report.add_argument("states", nargs="+", help="state snapshot files")
+    p_report.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    p_report.add_argument("--output", default=None, help="write report here instead of stdout")
+    p_report.set_defaults(func=_cmd_report)
 
     p_bench = sub.add_parser(
         "synth-bench",

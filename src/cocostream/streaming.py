@@ -8,6 +8,13 @@ of mean average precision from the bucket histograms.
 
 Counters stay exact integers until finalization, so merging is exactly
 associative and commutative.
+
+The dense state serves the library API (update, merge, finalize). Only
+occupied counters are ever stored or reduced, so the command line works on
+(flat index, count) entries instead: _match_entries turns a matched batch
+into the entries a snapshot of that batch's state would hold,
+_finalize_entries reduces entries to the same report as finalize, and
+_add_entries sums two snapshots' entries. None of them allocates the grid.
 """
 
 from __future__ import annotations
@@ -113,12 +120,35 @@ def add_matches(state: BucketedState, matches: Matches) -> BucketedState:
     """
     if matches.config != state.config:
         raise ValueError("matches were made under a different config than the state")
-    b_of = bucket_index(matches.confidences, state.config.buckets)
-    tp_index, fp_index = matches.kept_verdicts()
-    for hist, (t, k, a, m, j) in ((state.tp_buckets, tp_index), (state.fp_buckets, fp_index)):
-        np.add.at(hist.reshape(-1), np.ravel_multi_index((t, k, a, m, b_of[j]), hist.shape), 1)
+    for hist, flat in zip((state.tp_buckets, state.fp_buckets), _verdict_indices(matches)):
+        np.add.at(hist.reshape(-1), flat, 1)
     state.gt_counts += matches.gt_counts
     return state
+
+
+def _verdict_indices(matches: Matches) -> tuple[np.ndarray, np.ndarray]:
+    """Flat C-order histogram indices of every kept TP verdict and of every
+    kept FP verdict, one per verdict, repeats included."""
+    shape = _array_shapes(matches.config)["tp_buckets"]
+    b_of = bucket_index(matches.confidences, matches.config.buckets)
+    return tuple(
+        np.ravel_multi_index((t, k, a, m, b_of[j]), shape)
+        for t, k, a, m, j in matches.kept_verdicts()
+    )
+
+
+def _match_entries(matches: Matches) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """The (flat indices, counts) entries, per array in snapshot order, that
+    save_state would store for add_matches(new_state(config), matches),
+    computed without the state."""
+    entries = {
+        name: np.unique(flat, return_counts=True)
+        for name, flat in zip(("tp_buckets", "fp_buckets"), _verdict_indices(matches))
+    }
+    gt = matches.gt_counts.reshape(-1)
+    idx = np.flatnonzero(gt)
+    entries["gt_counts"] = idx, gt[idx]
+    return entries
 
 
 def merge(a: BucketedState, b: BucketedState) -> BucketedState:
@@ -239,9 +269,49 @@ def finalize(state: BucketedState) -> MetricReport:
     tp = state.tp_buckets[..., -1, ::-1].reshape(-1, cfg.buckets)
     fp = state.fp_buckets[..., -1, ::-1].reshape(-1, cfg.buckets)
     cells, b = np.divmod(np.flatnonzero(np.logical_or(tp, fp)), cfg.buckets)
-    bounds = np.searchsorted(cells, np.arange(len(tp) + 1))
-    ap = cell_aps(cfg, state.gt_counts, tp[cells, b], fp[cells, b], bounds)
-    return metric_report(cfg, state.gt_counts, state.tp_buckets.sum(axis=-1), ap)
+    return _report(
+        cfg, state.gt_counts, cells, tp[cells, b], fp[cells, b], state.tp_buckets.sum(axis=-1)
+    )
+
+
+def _finalize_entries(config: EvalConfig, entries: dict) -> MetricReport:
+    """finalize of the state whose arrays hold entries[name] = (flat
+    indices, counts), as _read_entries returns them, with no dense state;
+    the report is bit-identical to finalize's.
+
+    Recall totals are int64 sums over each (theta, class, area, max-dets)
+    cell. The PR points are the union of the occupied TP and FP buckets at
+    the largest limit, keyed by cell and then by bucket, highest first.
+    """
+    buckets, limits = config.buckets, len(config.max_dets_list)
+    shapes = _array_shapes(config)
+    gt_counts = np.zeros(shapes["gt_counts"], dtype=np.int64)
+    gt_idx, gt_values = entries["gt_counts"]
+    gt_counts.reshape(-1)[gt_idx] = gt_values
+    tp_totals = np.zeros(shapes["tp_buckets"][:-1], dtype=np.int64)
+    tp_idx, tp_values = entries["tp_buckets"]
+    np.add.at(tp_totals.reshape(-1), tp_idx // buckets, tp_values)
+    keys, counts = [], []
+    for idx, values in (entries["tp_buckets"], entries["fp_buckets"]):
+        cell_limit, b = np.divmod(idx, buckets)
+        cell, limit = np.divmod(cell_limit, limits)
+        top = limit == limits - 1
+        keys.append(cell[top] * buckets + (buckets - 1 - b[top]))
+        counts.append(values[top])
+    points = np.union1d(*keys)
+    tp, fp = (np.zeros(len(points), dtype=np.int64) for _ in range(2))
+    for out, k, c in zip((tp, fp), keys, counts):
+        out[np.searchsorted(points, k)] = c
+    return _report(config, gt_counts, points // buckets, tp, fp, tp_totals)
+
+
+def _report(config: EvalConfig, gt_counts, cells, tp, fp, tp_totals) -> MetricReport:
+    """The report from the top-limit PR points (cells[i], tp[i], fp[i]),
+    sorted by cell and within a cell by descending bucket, and the
+    (|Theta|, classes, areas, max-dets) TP totals."""
+    n_cells = len(config.iou_thresholds) * gt_counts.size
+    ap = cell_aps(config, gt_counts, tp, fp, np.searchsorted(cells, np.arange(n_cells + 1)))
+    return metric_report(config, gt_counts, tp_totals, ap)
 
 
 # -- state snapshot serialization -----------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from cocostream import EvalConfig, finalize, load_state, new_state, save_state, update
 from cocostream.cli import main
+from cocostream.streaming import _header
 
 from conftest import GOLDEN_METRICS, random_dataset
 
@@ -75,6 +76,25 @@ class TestEvaluate:
         with state_path.open("rb") as fh:
             state = load_state(fh)
         assert state.gt_counts.sum() > 0
+
+    def test_huge_grid_evaluates_without_allocating_it(self, golden_paths, tmp_path):
+        # evaluate never builds the dense state, so a grid of 2**40 buckets
+        # costs only the matched entries, and merge and report read its snapshot
+        gt, det = golden_paths
+        state = tmp_path / "huge.state"
+        reports = {}
+        for mode in ("exact", "streaming"):
+            out = tmp_path / f"{mode}.json"
+            args = ["--state-out", state] if mode == "streaming" else []
+            assert run_cli("evaluate", gt, det, "--mode", mode, "--format", "json",
+                           "--output", out, "--buckets", 2**40, *args) == 0
+            reports[mode] = json.loads(out.read_text())
+        recalls = [name for name in reports["exact"] if name.startswith("recall")]
+        assert recalls and all(reports["streaming"][n] == reports["exact"][n] for n in recalls)
+        merged, out = tmp_path / "merged.state", tmp_path / "report.json"
+        assert run_cli("merge", state, state, "--output", merged) == 0
+        assert run_cli("report", state, "--format", "json", "--output", out) == 0
+        assert json.loads(out.read_text()) == reports["streaming"]
 
 
 class TestMerge:
@@ -192,6 +212,41 @@ class TestMerge:
         assert rc != 0
         err = capsys.readouterr().err
         assert "a.bin" in err and "b.bin" in err
+
+
+class TestReport:
+    def test_golden_snapshot_reports_like_evaluate(self, golden_paths, tmp_path, capsys):
+        gt, det = golden_paths
+        state = tmp_path / "golden.state"
+        for fmt in ("table", "json", "csv"):
+            assert run_cli("evaluate", gt, det, "--format", fmt, "--state-out", state) == 0
+            want = capsys.readouterr().out
+            assert run_cli("report", state, "--format", fmt) == 0
+            assert capsys.readouterr().out == want
+
+    def test_shards_report_the_whole(self, small_config, tmp_path):
+        shards = [random_dataset(seed, n_images=3) for seed in (41, 42, 43)]
+        paths = [tmp_path / f"shard{i}.bin" for i in range(len(shards))]
+        for shard, path in zip(shards, paths):
+            with path.open("wb") as fh:
+                save_state(update(new_state(small_config), shard), fh)
+        out = tmp_path / "report.json"
+        assert run_cli("report", *paths, "--format", "json", "--output", out) == 0
+        whole = update(new_state(small_config), [p for shard in shards for p in shard])
+        assert json.loads(out.read_text()) == finalize(whole).as_dict()
+
+    def test_config_mismatch_fails(self, golden_paths, tmp_path, capsys):
+        gt, det = golden_paths
+        paths = []
+        for name, max_dets in (("a.bin", "1,10,100"), ("b.bin", "1,5")):
+            paths.append(tmp_path / name)
+            assert run_cli("evaluate", gt, det, "--output", tmp_path / "r.txt",
+                           "--state-out", paths[-1], "--max-dets", max_dets) == 0
+        out = tmp_path / "report.txt"
+        assert run_cli("report", *paths, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert "a.bin" in err and "b.bin" in err
+        assert not out.exists()
 
 
 class TestSynthBench:
@@ -372,12 +427,39 @@ class TestBadInputExitsCleanly:
         assert not report.exists() and not state.exists()
 
     def test_config_too_large_to_allocate(self, golden_paths, tmp_path, capsys):
-        # 2**40 buckets ask for petabytes, so the allocation fails at once
-        gt, det = golden_paths
+        # synth-bench builds the dense state: 2**40 buckets ask for petabytes,
+        # so the allocation fails at once
+        gt, _ = golden_paths
         out = tmp_path / "r.txt"
-        assert run_cli("evaluate", gt, det, "--output", out, "--buckets", 2**40) == 2
+        assert run_cli("synth-bench", gt, "--image-counts", 1, "--repeats", 1,
+                       "--output", out, "--buckets", 2**40) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["merge", "report"])
+    @pytest.mark.parametrize("damage", ["truncated", "non-canonical header", "unallocatable count"])
+    def test_bad_snapshot_error_names_its_file(self, golden_paths, tmp_path, capsys,
+                                               command, damage):
+        gt, det = golden_paths
+        good = tmp_path / "good.state"
+        assert run_cli("evaluate", gt, det, "--output", tmp_path / "r.txt", "--state-out", good) == 0
+        data = good.read_bytes()
+        header, body = data.split(b"\n", 1)
+        if damage == "truncated":
+            data = data[:-1]
+        elif damage == "non-canonical header":
+            doc = dict(json.loads(header), extra=1)
+            data = json.dumps(doc, sort_keys=True).encode() + b"\n" + body
+        else:  # a canonical header whose count asks for petabytes of indices
+            config = EvalConfig(num_classes=1, buckets=2**40)
+            data = _header(config, [120 * 2**40, 0, 0])
+        bad = tmp_path / "bad.state"
+        bad.write_bytes(data)
+        out = tmp_path / "out"
+        assert run_cli(command, good, bad, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "Traceback" not in err
         assert not out.exists()
 
     def test_merge_snapshot_without_arrays(self, golden_paths, tmp_path, capsys):

@@ -4,13 +4,17 @@ bucket_index per confidence, a global sort of greedy_cell verdicts for
 evaluate_exact, and the dense per-cell reducer for finalize.
 
 match_batch is also held to the per-image match_image records joined in
-batch order, with the chunk cap patched so that batches split into chunks.
+batch order, with the chunk cap patched so that batches split into chunks,
+and the snapshot entries and report built straight from its matches are
+held to the dense state's.
 
 Max-dets limits are drawn from 1-6, so prefixes of the single match at the
 largest limit really get cut; a few repeated confidences produce confidence
 ties, and ground-truth pairs mirrored about a detection's box tie in IoU.
 """
 
+import io
+import math
 from dataclasses import replace
 from unittest import mock
 
@@ -20,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cocostream import (
+    AreaRange,
     BoundingBox,
     Detection,
     EvalConfig,
@@ -29,10 +34,12 @@ from cocostream import (
     finalize,
     interpolate_ap,
     new_state,
+    save_state,
     update,
 )
 from cocostream import matching
 from cocostream.matching import match_batch, match_image
+from cocostream.streaming import _finalize_entries, _match_entries, _write_entries, add_matches
 
 from conftest import cell_result, make_det, make_gt, random_dataset
 from reference import dense_finalize, greedy_cell, metric_report
@@ -266,3 +273,38 @@ def test_finalize_equals_dense_reference_on_the_default_grid():
             dataset.append((dets, gts))
         state = update(new_state(config), dataset)
         assert _bits(finalize(state)) == _bits(dense_finalize(state))
+
+
+entry_configs = st.builds(
+    replace,
+    configs,
+    buckets=st.sampled_from([1, 7, 10000]),
+    area_ranges=st.sampled_from(
+        [
+            EvalConfig(num_classes=NUM_CLASSES).area_ranges,
+            (("all", AreaRange(0.0, math.inf)),),
+            (  # overlapping ranges, none named "all"
+                ("tiny", AreaRange(0.0, 100.0)),
+                ("mid", AreaRange(50.0, 900.0)),
+                ("big", AreaRange(400.0, math.inf)),
+            ),
+        ]
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    config=entry_configs,
+    batch=st.lists(st.one_of(images, tied_images, padding_images, no_gt_images), max_size=6),
+)
+@example(config=EvalConfig(num_classes=NUM_CLASSES, buckets=7), batch=[])
+def test_match_entries_equal_the_dense_state(config, batch):
+    matches = match_batch(batch, config)
+    state = add_matches(new_state(config), matches)
+    entries = _match_entries(matches)
+    got, want = io.BytesIO(), io.BytesIO()
+    _write_entries(got, config, entries)
+    save_state(state, want)
+    assert got.getvalue() == want.getvalue()
+    assert _bits(_finalize_entries(config, entries)) == _bits(finalize(state))

@@ -30,7 +30,14 @@ from cocostream import (
 from cocostream.cli import main
 from cocostream.config import METRIC_NAMES
 from cocostream.matching import match_batch
-from cocostream.streaming import _add_entries, _header, _read_entries, _write_entries, add_matches
+from cocostream.streaming import (
+    _add_entries,
+    _finalize_entries,
+    _header,
+    _read_entries,
+    _write_entries,
+    add_matches,
+)
 
 from conftest import make_det, make_gt, random_dataset
 
@@ -476,6 +483,56 @@ def test_cli_merge_equals_dense_merge_fold(data):
         out = Path(tmp) / "merged.state"
         assert main(["merge", *map(str, paths), "--output", str(out)]) == 0
         assert out.read_bytes() == _snapshot(want)
+
+
+@st.composite
+def sharded_snapshots(draw, config):
+    """Snapshots of the shards of a random dataset, cut at random into 1-5
+    shards (empty ones too), with every counter scaled by one factor; unlike
+    states(), each one's counts are those of real matches."""
+    n_images = draw(st.integers(0, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    dataset = random_dataset(seed, n_images=n_images, num_classes=config.num_classes)
+    n_shards = draw(st.integers(1, 5))
+    owner = draw(st.lists(st.integers(0, n_shards - 1), min_size=n_images, max_size=n_images))
+    scale = draw(st.sampled_from([1, 3, 2**30]))
+    blobs = []
+    for shard in range(n_shards):
+        state = update(new_state(config), [p for p, o in zip(dataset, owner) if o == shard])
+        for name in ("tp_buckets", "fp_buckets", "gt_counts"):
+            getattr(state, name)[...] *= scale
+        blobs.append(_snapshot(state))
+    return blobs
+
+
+def _bits(report) -> dict:
+    return {name: float(v).hex() for name, v in report.as_dict().items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_finalize_entries_of_a_snapshot_equals_finalize(data):
+    config = data.draw(st.sampled_from(MERGE_CONFIGS))
+    for blob in data.draw(sharded_snapshots(config)):
+        want = finalize(load_state(io.BytesIO(blob)))
+        assert _bits(_finalize_entries(*_read_entries(io.BytesIO(blob)))) == _bits(want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_cli_report_equals_finalize_of_the_merge(data):
+    config = data.draw(st.sampled_from(MERGE_CONFIGS))
+    blobs = data.draw(sharded_snapshots(config))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [str(Path(tmp) / f"shard{i}.state") for i in range(len(blobs))]
+        for blob, path in zip(blobs, paths):
+            Path(path).write_bytes(blob)
+        merged, report = Path(tmp) / "merged.state", Path(tmp) / "report.json"
+        assert main(["merge", *paths, "--output", str(merged)]) == 0
+        assert main(["report", *paths, "--format", "json", "--output", str(report)]) == 0
+        with merged.open("rb") as fh:
+            want = finalize(load_state(fh)).as_dict()
+        assert json.loads(report.read_text()) == want
 
 
 def test_max_dets_must_increase():
