@@ -102,20 +102,7 @@ def summarize(rows: Sequence[ErrorMarginRow]) -> list[MetricSummary]:
     summaries = []
     for name in METRIC_NAMES:
         errors = [r.abs_error for r in rows if r.metric_name == name and r.abs_error != UNDEFINED]
-        if errors:
-            arr = np.array(errors)
-            summaries.append(
-                MetricSummary(
-                    metric_name=name,
-                    n_runs=len(errors),
-                    min_error=float(arr.min()),
-                    max_error=float(arr.max()),
-                    mean_error=float(arr.mean()),
-                    std_error=float(arr.std()),
-                )
-            )
-        else:
-            summaries.append(
-                MetricSummary(name, 0, UNDEFINED, UNDEFINED, UNDEFINED, UNDEFINED)
-            )
+        arr = np.array(errors)
+        stats = (arr.min(), arr.max(), arr.mean(), arr.std()) if errors else (UNDEFINED,) * 4
+        summaries.append(MetricSummary(name, len(errors), *map(float, stats)))
     return summaries

@@ -17,7 +17,7 @@ import numpy as np
 from .config import EvalConfig, MetricReport
 from .geometry import Detection, GroundTruth
 from .matching import Matches, match_batch
-from .streaming import cell_aps, metric_report
+from .streaming import _array_shapes, cell_aps, metric_report
 
 
 def evaluate_exact(
@@ -31,11 +31,7 @@ def evaluate_exact(
 def exact_report(matches: Matches) -> MetricReport:
     """Exact 12-metric report from a matched dataset."""
     config = matches.config
-    n_a = len(config.area_ranges)
-    tp_totals = np.zeros(
-        (len(config.iou_thresholds), config.num_classes, n_a, len(config.max_dets_list)),
-        dtype=np.int64,
-    )
+    tp_totals = np.zeros(_array_shapes(config)["tp_buckets"][:-1], dtype=np.int64)
     tp_index, _ = matches.kept_verdicts()
     np.add.at(tp_totals, tp_index[:4], 1)
 
@@ -43,9 +39,10 @@ def exact_report(matches: Matches) -> MetricReport:
     # theta, descending confidence within a cell. The sort is stable, so
     # ties keep dataset order, then rank.
     order = np.lexsort((-matches.confidences, matches.area, matches.cls))
-    n_t, n_cells = len(config.iou_thresholds), config.num_classes * n_a
-    cell_of = np.arange(n_t)[:, None] * n_cells + (matches.cls * n_a + matches.area)[order]
-    bounds = np.searchsorted(cell_of.ravel(), np.arange(n_t * n_cells + 1))
+    n_a, n_cells = len(config.area_ranges), matches.gt_counts.size
+    cell_of = np.arange(len(config.iou_thresholds))[:, None] * n_cells + (
+        matches.cls * n_a + matches.area
+    )[order]
     tp = matches.tp[:, order].ravel()
-    ap = cell_aps(config, matches.gt_counts, tp, ~tp, bounds)
+    ap = cell_aps(config, matches.gt_counts, cell_of.ravel(), tp, ~tp)
     return metric_report(config, matches.gt_counts, tp_totals, ap)

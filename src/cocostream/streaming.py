@@ -11,10 +11,11 @@ associative and commutative.
 
 The dense state serves the library API (update, merge, finalize). Only
 occupied counters are ever stored or reduced, so the command line works on
-(flat index, count) entries instead: _match_entries turns a matched batch
-into the entries a snapshot of that batch's state would hold,
-_finalize_entries reduces entries to the same report as finalize, and
-_add_entries sums two snapshots' entries. None of them allocates the grid.
+(flat index, count) entries instead, and never allocates the grid. Three
+primitives carry every conversion: _nonzero (array to entries), _dense
+(entries to array) and _join (two entry vectors aligned on the sorted union
+of their indices). finalize, _finalize_entries and the exact oracle all end
+in the same call, metric_report(..., cell_aps(...)).
 """
 
 from __future__ import annotations
@@ -89,15 +90,20 @@ def _array_shapes(config: EvalConfig) -> dict[str, tuple[int, ...]]:
     }
 
 
+def _counters(array: str, shape: tuple[int, ...]) -> int:
+    """The number of counters in an array of shape; ValueError naming the
+    array and that number if int64 flat indices cannot address them all."""
+    size = math.prod(shape)
+    if size > np.iinfo(np.int64).max:
+        raise ValueError(f"{array}: its {size} counters do not fit int64 indices")
+    return size
+
+
 def new_state(config: EvalConfig) -> BucketedState:
     """All-zero state sized by the config grid."""
-    return BucketedState(
-        config=config,
-        **{
-            name: np.zeros(shape, dtype=np.int64)
-            for name, shape in _array_shapes(config).items()
-        },
-    )
+    shapes = _array_shapes(config)
+    _counters("state array tp_buckets", shapes["tp_buckets"])
+    return BucketedState(config, **{n: np.zeros(s, dtype=np.int64) for n, s in shapes.items()})
 
 
 def update(
@@ -130,6 +136,7 @@ def _verdict_indices(matches: Matches) -> tuple[np.ndarray, np.ndarray]:
     """Flat C-order histogram indices of every kept TP verdict and of every
     kept FP verdict, one per verdict, repeats included."""
     shape = _array_shapes(matches.config)["tp_buckets"]
+    _counters("state array tp_buckets", shape)
     b_of = bucket_index(matches.confidences, matches.config.buckets)
     return tuple(
         np.ravel_multi_index((t, k, a, m, b_of[j]), shape)
@@ -145,10 +152,40 @@ def _match_entries(matches: Matches) -> dict[str, tuple[np.ndarray, np.ndarray]]
         name: np.unique(flat, return_counts=True)
         for name, flat in zip(("tp_buckets", "fp_buckets"), _verdict_indices(matches))
     }
-    gt = matches.gt_counts.reshape(-1)
-    idx = np.flatnonzero(gt)
-    entries["gt_counts"] = idx, gt[idx]
+    entries["gt_counts"] = _nonzero(matches.gt_counts)
     return entries
+
+
+def _nonzero(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (flat C-order indices, counts) entries of array's non-zero
+    counters; scanning a bool mask is faster than scanning int64 counters."""
+    flat = array.reshape(-1)
+    occupied = flat != 0
+    return np.flatnonzero(occupied), flat[occupied]
+
+
+def _dense(shape: tuple[int, ...], entries: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The int64 array of shape holding entries = (unique flat indices,
+    counts), zero elsewhere."""
+    array = np.zeros(shape, dtype=np.int64)
+    array.reshape(-1)[entries[0]] = entries[1]
+    return array
+
+
+def _join(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, a counts, b counts): the sorted union of the keys of the
+    (keys, counts) pairs a and b, each pair's keys unique and >= 0, and
+    each pair's counts aligned to it, 0 where the pair lacks a key. The
+    stable sort merges two sorted runs of keys in linear time."""
+    keys = np.concatenate((a[0], b[0]))
+    order = np.argsort(keys, kind="stable")
+    first = np.diff(keys[order], prepend=-1) != 0
+    slot = np.empty_like(order)
+    slot[order] = np.cumsum(first) - 1
+    aligned = np.zeros((2, np.count_nonzero(first)), dtype=np.int64)
+    aligned[0, slot[: len(a[0])]] = a[1]
+    aligned[1, slot[len(a[0]) :]] = b[1]
+    return keys[order[first]], aligned[0], aligned[1]
 
 
 def merge(a: BucketedState, b: BucketedState) -> BucketedState:
@@ -187,18 +224,20 @@ def interpolate_ap(
     return float(total / len(recall_thresholds))
 
 
-def cell_aps(config: EvalConfig, gt_counts, tp, fp, bounds) -> np.ndarray:
+def cell_aps(config: EvalConfig, gt_counts, cells, tp, fp) -> np.ndarray:
     """(|Theta|, classes, areas) AP of each cell with ground truth, else 0.
 
-    Cell c, in (theta, class, area) ravel order, owns the PR points
-    bounds[c]:bounds[c + 1] of the TP / FP count vectors, in descending
-    confidence: one per detection (exact) or per occupied bucket (streaming).
+    PR point i belongs to cell cells[i], in (theta, class, area) ravel
+    order, and counts tp[i] TPs and fp[i] FPs: one point per detection
+    (exact) or per occupied bucket (streaming). cells is sorted, and within
+    a cell the points run in descending confidence.
     """
     tpc = np.concatenate(([0], np.cumsum(tp)))
     fpc = np.concatenate(([0], np.cumsum(fp)))
     gammas = np.broadcast_to(gt_counts, (len(config.iou_thresholds), *gt_counts.shape)).ravel()
+    bounds = np.searchsorted(cells, np.arange(len(gammas) + 1))
     ap = np.zeros(len(gammas))
-    for c in np.flatnonzero(gammas):
+    for c in np.flatnonzero(gammas > 0):
         lo, hi = bounds[c], bounds[c + 1]
         cell_tp = tpc[lo + 1 : hi + 1] - tpc[lo]
         cell_fp = fpc[lo + 1 : hi + 1] - fpc[lo]
@@ -269,9 +308,8 @@ def finalize(state: BucketedState) -> MetricReport:
     tp = state.tp_buckets[..., -1, ::-1].reshape(-1, cfg.buckets)
     fp = state.fp_buckets[..., -1, ::-1].reshape(-1, cfg.buckets)
     cells, b = np.divmod(np.flatnonzero(np.logical_or(tp, fp)), cfg.buckets)
-    return _report(
-        cfg, state.gt_counts, cells, tp[cells, b], fp[cells, b], state.tp_buckets.sum(axis=-1)
-    )
+    ap = cell_aps(cfg, state.gt_counts, cells, tp[cells, b], fp[cells, b])
+    return metric_report(cfg, state.gt_counts, state.tp_buckets.sum(axis=-1), ap)
 
 
 def _finalize_entries(config: EvalConfig, entries: dict) -> MetricReport:
@@ -285,32 +323,18 @@ def _finalize_entries(config: EvalConfig, entries: dict) -> MetricReport:
     """
     buckets, limits = config.buckets, len(config.max_dets_list)
     shapes = _array_shapes(config)
-    gt_counts = np.zeros(shapes["gt_counts"], dtype=np.int64)
-    gt_idx, gt_values = entries["gt_counts"]
-    gt_counts.reshape(-1)[gt_idx] = gt_values
+    gt_counts = _dense(shapes["gt_counts"], entries["gt_counts"])
     tp_totals = np.zeros(shapes["tp_buckets"][:-1], dtype=np.int64)
     tp_idx, tp_values = entries["tp_buckets"]
     np.add.at(tp_totals.reshape(-1), tp_idx // buckets, tp_values)
-    keys, counts = [], []
+    points = []
     for idx, values in (entries["tp_buckets"], entries["fp_buckets"]):
         cell_limit, b = np.divmod(idx, buckets)
         cell, limit = np.divmod(cell_limit, limits)
         top = limit == limits - 1
-        keys.append(cell[top] * buckets + (buckets - 1 - b[top]))
-        counts.append(values[top])
-    points = np.union1d(*keys)
-    tp, fp = (np.zeros(len(points), dtype=np.int64) for _ in range(2))
-    for out, k, c in zip((tp, fp), keys, counts):
-        out[np.searchsorted(points, k)] = c
-    return _report(config, gt_counts, points // buckets, tp, fp, tp_totals)
-
-
-def _report(config: EvalConfig, gt_counts, cells, tp, fp, tp_totals) -> MetricReport:
-    """The report from the top-limit PR points (cells[i], tp[i], fp[i]),
-    sorted by cell and within a cell by descending bucket, and the
-    (|Theta|, classes, areas, max-dets) TP totals."""
-    n_cells = len(config.iou_thresholds) * gt_counts.size
-    ap = cell_aps(config, gt_counts, tp, fp, np.searchsorted(cells, np.arange(n_cells + 1)))
+        points.append((cell[top] * buckets + (buckets - 1 - b[top]), values[top]))
+    keys, tp, fp = _join(*points)
+    ap = cell_aps(config, gt_counts, keys // buckets, tp, fp)
     return metric_report(config, gt_counts, tp_totals, ap)
 
 
@@ -339,11 +363,10 @@ def _header(config: EvalConfig, nonzero: Sequence) -> bytes:
 
 
 def save_state(state: BucketedState, fp: BinaryIO) -> None:
-    entries = {}
-    for name in _array_shapes(state.config):
-        values = getattr(state, name).reshape(-1)
-        idx = np.flatnonzero(values)
-        entries[name] = idx, values[idx]
+    """Write the state's canonical snapshot (format cocostream-state/2):
+    only its non-zero counters, so equal states give equal bytes.
+    load_state reads it back."""
+    entries = {name: _nonzero(getattr(state, name)) for name in _array_shapes(state.config)}
     _write_entries(fp, state.config, entries)
 
 
@@ -378,10 +401,9 @@ def load_state(fp: BinaryIO) -> BucketedState:
     snapshot is read and checked before the state is allocated.
     """
     config, entries = _read_entries(fp)
-    state = new_state(config)
-    for name, (idx, counts) in entries.items():
-        getattr(state, name).reshape(-1)[idx] = counts
-    return state
+    return BucketedState(
+        config, **{n: _dense(shape, entries[n]) for n, shape in _array_shapes(config).items()}
+    )
 
 
 def _read_entries(fp: BinaryIO) -> tuple[EvalConfig, dict[str, tuple[np.ndarray, np.ndarray]]]:
@@ -420,11 +442,7 @@ def _read_entries(fp: BinaryIO) -> tuple[EvalConfig, dict[str, tuple[np.ndarray,
         )
     entries = {}
     for (name, shape), n in zip(shapes.items(), nonzero):
-        size = math.prod(shape)
-        if size > np.iinfo(np.int64).max:
-            raise ValueError(
-                f"snapshot array {name}: its {size} counters do not fit int64 indices"
-            )
+        size = _counters(f"snapshot array {name}", shape)
         if not (isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= size):
             raise ValueError(
                 f"snapshot array {name}: nonzero must be an int in [0, {size}], got {n!r}"
@@ -452,17 +470,9 @@ def _add_entries(a: dict, b: dict) -> dict:
     as _read_entries returns them; the configs must match. Raises
     ValueError, naming the array, if a sum overflows int64."""
     total = {}
-    for name, (idx_a, counts_a) in a.items():
-        idx_b, counts_b = b[name]
-        idx = np.concatenate((idx_a, idx_b))
-        order = np.argsort(idx, kind="stable")
-        idx, counts = idx[order], np.concatenate((counts_a, counts_b))[order]
-        # Each input's indices are unique, so an index occurs at most twice:
-        # add each repeat onto the first occurrence, as one aligned vector.
-        first = np.diff(idx, prepend=-1) > 0
-        repeats = np.zeros(np.count_nonzero(first), dtype=np.int64)
-        repeats[np.cumsum(first)[~first] - 1] = counts[~first]
-        total[name] = idx[first], _checked_sum(name, counts[first], repeats)
+    for name in a:
+        idx, counts_a, counts_b = _join(a[name], b[name])
+        total[name] = idx, _checked_sum(name, counts_a, counts_b)
     return total
 
 

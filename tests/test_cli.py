@@ -437,6 +437,20 @@ class TestBadInputExitsCleanly:
         assert "error:" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command", [["evaluate"], ["synth-bench", "--image-counts", 1, "--repeats", 1]]
+    )
+    def test_grid_past_int64_names_the_array(self, golden_paths, tmp_path, capsys, command):
+        # 10 * 3 * 4 * 3 * 2**60 counters: more than int64 flat indices address
+        gt, det = golden_paths
+        out = tmp_path / "r.txt"
+        inputs = [gt, det] if command[0] == "evaluate" else [gt]
+        assert run_cli(command[0], *inputs, *command[1:], "--output", out,
+                       "--buckets", 2**60) == 2
+        err = capsys.readouterr().err
+        assert "error: state array tp_buckets: its 276701161105643274240 counters do not fit" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["merge", "report"])
     @pytest.mark.parametrize("damage", ["truncated", "non-canonical header", "unallocatable count"])
     def test_bad_snapshot_error_names_its_file(self, golden_paths, tmp_path, capsys,

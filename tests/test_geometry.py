@@ -111,3 +111,7 @@ class TestRecordValidation:
     def test_class_below_padding_rejected(self):
         with pytest.raises(ValueError):
             make_gt(class_id=-2)
+
+    def test_detection_class_below_padding_rejected(self):
+        with pytest.raises(ValueError, match="class_id must be >= -1, got -2"):
+            make_det(class_id=-2)

@@ -131,6 +131,12 @@ class TestLoadDetections:
                 base,
             )
 
+    def test_results_object_loads_like_its_list(self):
+        base = load_ground_truth(minimal_doc())
+        assert load_detections({"results": valid_results()}, base) == load_detections(
+            valid_results(), base
+        )
+
     def test_detections_round_trip(self, golden_paths):
         gt_path, det_path = golden_paths
         ds = load_detections(det_path, load_ground_truth(gt_path))
@@ -296,6 +302,40 @@ class TestErrorsNameLocation:
         doc["annotations"][0]["bbox"] = [0, 0, float("inf"), 1]
         with pytest.raises(ValidationError, match=r"annotations\[0\]"):
             load_ground_truth(doc)
+
+    @pytest.mark.parametrize(
+        "bbox, message",
+        [
+            ("0 0 1 1", "bbox must be a list, got str"),
+            ([0, 0, 1], "bbox must have 4 entries, got 3"),
+        ],
+    )
+    def test_bbox_of_wrong_form(self, bbox, message):
+        rows = valid_results()
+        rows[0]["bbox"] = bbox
+        with pytest.raises(ParseError, match=rf"results\[0\]: {message}"):
+            load_detections(rows, load_ground_truth(minimal_doc()))
+
+    @pytest.mark.parametrize(
+        "section, message",
+        [("categories", r"duplicate category ids: \(3, 3\)"), ("images", "duplicate image id: 1")],
+    )
+    def test_duplicate_ids(self, section, message):
+        doc = valid_annotation_doc()
+        doc[section] = [{"id": doc[section][0]["id"]}] * 2
+        with pytest.raises(ParseError, match=message):
+            load_ground_truth(doc)
+
+    def test_annotation_unknown_image(self):
+        doc = valid_annotation_doc()
+        doc["annotations"][0]["image_id"] = 7
+        with pytest.raises(ValidationError, match=r"annotations\[0\]: unknown image id 7"):
+            load_ground_truth(doc)
+
+    @pytest.mark.parametrize("doc", [{"rows": []}, {"results": 5}])
+    def test_results_document_of_wrong_type(self, doc):
+        with pytest.raises(ParseError, match="results document must be a JSON list"):
+            load_detections(doc, load_ground_truth(minimal_doc()))
 
 
 class TestOnlyJsonNumbers:

@@ -66,7 +66,28 @@ class TestNewState:
             EvalConfig(num_classes=1, iou_thresholds=())
 
 
+class TestConfigRejects:
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [((-1.0, 5.0), "min_area must be >= 0"), ((5.0, 5.0), "max_area must exceed min_area")],
+    )
+    def test_bad_area_range(self, bounds, message):
+        with pytest.raises(ConfigError, match=message):
+            AreaRange(*bounds)
+
+    @pytest.mark.parametrize("key", ["recall_thresholds", "area_ranges", "max_dets_list"])
+    def test_empty_list_from_dict(self, key):
+        d = EvalConfig(num_classes=1).to_dict()
+        d[key] = []
+        with pytest.raises(ConfigError, match=f"{key} must be non-empty"):
+            EvalConfig.from_dict(d)
+
+
 class TestBucketIndex:
+    def test_no_buckets_rejected(self):
+        with pytest.raises(ConfigError, match="buckets must be >= 1, got 0"):
+            bucket_index(0.5, 0)
+
     def test_zero_confidence(self):
         assert bucket_index(0.0, 10000) == 0
 
