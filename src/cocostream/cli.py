@@ -17,13 +17,14 @@ from .config import METRIC_LABELS, METRIC_NAMES, AreaRange, EvalConfig, MetricRe
 from .ingest import (
     Dataset,
     PerturbationParams,
+    _read_annotations,
+    _read_results,
     dataset_to_annotation_doc,
     dataset_to_results_doc,
-    load_detections,
     load_ground_truth,
 )
-from .matching import match_batch
-from .oracle import evaluate_exact
+from .matching import _match_columns
+from .oracle import exact_report
 from .streaming import (
     MergeError,
     _add_entries,
@@ -164,15 +165,15 @@ def _output(path: str | None, default: TextIO) -> Iterator[TextIO]:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.mode == "exact" and args.state_out:
         raise ValueError("--state-out needs --mode streaming; exact mode keeps no state")
-    gt = load_ground_truth(args.ground_truth)
-    dataset = load_detections(args.detections, gt)
-    config = _build_config(args, num_classes=gt.num_classes)
-    pairs = dataset.pairs()
+    image_ids, category_ids, gts = _read_annotations(args.ground_truth)
+    dets = _read_results(args.detections, image_ids, category_ids)
+    config = _build_config(args, num_classes=len(category_ids))
+    matches = _match_columns(config, len(image_ids), dets, gts)
     if args.mode == "exact":
-        report = evaluate_exact(pairs, config)
+        report = exact_report(matches)
     else:
         # The snapshot entries come straight from the matches: no dense state.
-        entries = _match_entries(match_batch(pairs, config))
+        entries = _match_entries(matches)
         report = _finalize_entries(config, entries)
         if args.state_out:
             with open(args.state_out, "wb") as fh:

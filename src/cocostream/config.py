@@ -88,22 +88,14 @@ class EvalConfig:
     # -- grid lookups -----------------------------------------------------
 
     def area_index(self, name: str) -> int | None:
-        for i, (n, _) in enumerate(self.area_ranges):
-            if n == name:
-                return i
-        return None
+        return next((i for i, (n, _) in enumerate(self.area_ranges) if n == name), None)
 
     def iou_index(self, theta: float) -> int | None:
-        for i, t in enumerate(self.iou_thresholds):
-            if math.isclose(t, theta, rel_tol=0.0, abs_tol=1e-9):
-                return i
-        return None
+        close = (math.isclose(t, theta, rel_tol=0.0, abs_tol=1e-9) for t in self.iou_thresholds)
+        return next((i for i, hit in enumerate(close) if hit), None)
 
     def max_dets_index(self, max_dets: int) -> int | None:
-        for i, m in enumerate(self.max_dets_list):
-            if m == max_dets:
-                return i
-        return None
+        return next((i for i, m in enumerate(self.max_dets_list) if m == max_dets), None)
 
     # -- serialization ----------------------------------------------------
 
@@ -156,11 +148,12 @@ def _is_int(v) -> bool:
 
 
 _INTEGERS = (int, np.integer)
+_NUMBERS = (float, np.floating, *_INTEGERS)
 
 
 def _is_number(value: object) -> bool:
     """A real number a float can hold; booleans and strings are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (float, np.floating, *_INTEGERS)):
+    if isinstance(value, bool) or not isinstance(value, _NUMBERS):
         return False
     return not isinstance(value, _INTEGERS) or abs(value) <= sys.float_info.max
 

@@ -4,20 +4,29 @@ Annotation documents carry images/annotations/categories sections with
 (x, y, width, height) boxes; results documents are flat lists of
 {image_id, category_id, bbox, score}. Boxes are converted to corner format
 on load and category ids are remapped to contiguous class indices.
+
+_read_annotations and _read_results read documents into matching._Columns
+with vectorised checks, and run the per-row checks at a rejection for its
+located error; load_ground_truth and load_detections build Datasets from them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import os
+import sys
+from contextlib import suppress
+from dataclasses import astuple, dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .config import _INTEGERS, _is_number
+from .config import _INTEGERS, _NUMBERS, _is_number
 from .geometry import BoundingBox, Detection, GroundTruth
+from .matching import _areas, _Columns
 
 
 class ParseError(ValueError):
@@ -75,6 +84,8 @@ class PerturbationParams:
 def _load_document(source: Source) -> dict | list:
     if isinstance(source, (dict, list)):
         return source
+    if not isinstance(source, (str, os.PathLike)):
+        raise ParseError(f"a document must be a path, dict or list, got {type(source).__name__}")
     path = Path(source)
     try:
         with path.open("r", encoding="utf-8") as fh:
@@ -122,13 +133,95 @@ def _corner_box(entry: object, where: str) -> BoundingBox:
     if w < 0 or h < 0:
         raise ValidationError(f"{where}: negative box size ({w} x {h})")
     try:
-        return BoundingBox(left=x, top=y, right=x + w, bottom=y + h)
+        box = BoundingBox(left=x, top=y, right=x + w, bottom=y + h)
     except ValueError as exc:
         raise ValidationError(f"{where}: {exc}") from None
+    if not math.isfinite(box.width * box.height):
+        raise ValidationError(f"{where}: box area is not finite ({w} x {h})")
+    return box
 
 
-def load_ground_truth(source: Source) -> Dataset:
-    """Build a ground-truth-only dataset from an annotation document."""
+def _sure(ok) -> None:
+    if not ok:
+        raise ValueError("left to the per-row checks")
+
+
+def _typed(values: list, types) -> list:
+    """values, or ValueError unless each is an instance of types and not a bool."""
+    _sure(all(issubclass(t, types) and not issubclass(t, bool) for t in set(map(type, values))))
+    return values
+
+
+def _floats(values: list) -> np.ndarray:
+    """values as floats; ValueError unless each is a number below the float maximum."""
+    out = np.array(_typed(values, _NUMBERS), dtype=float)  # OverflowError past it
+    _sure((np.abs(out) < sys.float_info.max).all())
+    return out
+
+
+def _section_ids(entries: list, section: str) -> list[int]:
+    """The 'id' of each images or categories entry, read as _rows reads rows."""
+    with suppress(KeyError, ValueError, OverflowError):
+        values = [e["id"] for e in _typed(entries, dict)]
+        ids = _floats(values)
+        _sure((ids == np.floor(ids)).all() and len(set(values)) == len(values))
+        return list(map(int, values))
+    keys, seen = [], set()
+    for i, entry in enumerate(entries):
+        keys.append(_id(entry, "id", f"{section}[{i}]"))
+        if section == "images" and keys[-1] in seen:
+            raise ParseError(f"duplicate image id: {keys[-1]}")
+        seen.add(keys[-1])
+    return keys
+
+
+def _rows(rows: list, image_ids: list, category_ids: tuple, section: str) -> _Columns:
+    """The annotations or results rows as columns, grouped by image: read
+    vectorised if all certainly pass the checks, else by _per_row."""
+    image_index = {v: i for i, v in enumerate(image_ids)}
+    class_index = {v: k for k, v in enumerate(category_ids)}
+    cols = None
+    with suppress(KeyError, ValueError, OverflowError):
+        bboxes = _typed([r["bbox"] for r in _typed(rows, dict)], (list, tuple))
+        _sure(set(map(len, bboxes)) <= {4})
+        xywh = _floats(list(chain.from_iterable(bboxes))).reshape(-1, 4)
+        scores = _floats([r["score"] for r in rows] if section == "results" else [0] * len(rows))
+        with np.errstate(over="ignore", invalid="ignore"):
+            boxes = np.concatenate([xywh[:, :2], xywh[:, :2] + xywh[:, 2:]], axis=1)
+            area = _areas(boxes)  # finite only if the corners are
+        _sure((xywh[:, 2:] >= 0).all() and np.isfinite(area).all())
+        _sure(((scores >= 0) & (scores <= 1)).all())
+        img = [image_index[v] for v in _typed([r["image_id"] for r in rows], _NUMBERS)]
+        cls = [class_index[v] for v in _typed([r["category_id"] for r in rows], _NUMBERS)]
+        cols = _Columns(np.array(img, dtype=np.int64), np.array(cls, dtype=np.int64), boxes, scores)
+    cols = cols or _per_row(rows, image_index, class_index, section)
+    return cols.take(np.argsort(cols.img, kind="stable"))
+
+
+def _per_row(rows, image_index, class_index, section: str) -> _Columns:
+    """The columns of rows, checked one entry at a time in document order."""
+    out = []
+    for i, row in enumerate(rows):
+        where = f"{section}[{i}]"
+        image_id = _id(row, "image_id", where)
+        if image_id not in image_index:
+            raise ValidationError(f"{where}: unknown image id {image_id}")
+        score = 0.0
+        if section == "results":
+            score = float(_number(row, "score", where))
+            if not (0.0 <= score <= 1.0):
+                raise ValidationError(f"{where}: score outside [0, 1]: {score}")
+        cat = _id(row, "category_id", where)
+        if cat not in class_index:
+            raise ValidationError(f"{where}: unknown category id {cat}")
+        box = astuple(_corner_box(row, where))
+        out.append((image_index[image_id], class_index[cat], *box, score))
+    table = np.array(out, dtype=float).reshape(-1, 7)
+    return _Columns(*table[:, :2].astype(np.int64).T, table[:, 2:6], table[:, 6])
+
+
+def _read_annotations(source: Source) -> tuple[list[int], tuple[int, ...], _Columns]:
+    """An annotation document's image ids, sorted category ids and ground truths."""
     doc = _load_document(source)
     if not isinstance(doc, dict):
         raise ParseError(f"annotation document must be a JSON object, got {type(doc).__name__}")
@@ -136,73 +229,47 @@ def load_ground_truth(source: Source) -> Dataset:
         if section not in doc:
             raise ParseError(f"annotation document missing '{section}' section")
         if not isinstance(doc[section], list):
-            raise ParseError(
-                f"annotation document '{section}' section must be a list,"
-                f" got {type(doc[section]).__name__}"
-            )
-
-    category_ids = tuple(
-        sorted(_id(c, "id", f"categories[{i}]") for i, c in enumerate(doc["categories"]))
-    )
+            kind = type(doc[section]).__name__
+            raise ParseError(f"annotation document '{section}' section must be a list, got {kind}")
+    category_ids = tuple(sorted(_section_ids(doc["categories"], "categories")))
     if len(set(category_ids)) != len(category_ids):
         raise ParseError(f"duplicate category ids: {category_ids}")
-    index_of = {cid: i for i, cid in enumerate(category_ids)}
+    image_ids = _section_ids(doc["images"], "images")
+    gts = _rows(doc["annotations"], image_ids, category_ids, "annotations")
+    return image_ids, category_ids, gts
 
-    gts_by_image: dict[int, list[GroundTruth]] = {}
-    image_order = []
-    for i, img in enumerate(doc["images"]):
-        image_id = _id(img, "id", f"images[{i}]")
-        if image_id in gts_by_image:
-            raise ParseError(f"duplicate image id: {image_id}")
-        gts_by_image[image_id] = []
-        image_order.append(image_id)
 
-    for i, ann in enumerate(doc["annotations"]):
-        where = f"annotations[{i}]"
-        image_id = _id(ann, "image_id", where)
-        if image_id not in gts_by_image:
-            raise ValidationError(f"{where}: unknown image id {image_id}")
-        cat = _id(ann, "category_id", where)
-        if cat not in index_of:
-            raise ValidationError(f"{where}: unknown category id {cat}")
-        box = _corner_box(ann, where)
-        gts_by_image[image_id].append(GroundTruth(box=box, class_id=index_of[cat]))
+def _read_results(source: Source, image_ids, category_ids) -> _Columns:
+    """A results document's detections as columns, against an annotation document's ids."""
+    doc = _load_document(source)
+    if isinstance(doc, dict) and isinstance(doc.get("results"), list):
+        doc = doc["results"]
+    if not isinstance(doc, list):
+        raise ParseError("results document must be a JSON list")
+    return _rows(doc, image_ids, category_ids, "results")
 
-    images = tuple(
-        ImageRecord(image_id=iid, ground_truths=tuple(gts_by_image[iid]))
-        for iid in image_order
-    )
+
+def _per_image(items: list, img: np.ndarray, images: int) -> list[tuple]:
+    cuts = np.searchsorted(img, np.arange(images + 1)).tolist()
+    return [tuple(items[a:b]) for a, b in zip(cuts, cuts[1:])]
+
+
+def load_ground_truth(source: Source) -> Dataset:
+    """Build a ground-truth-only dataset from an annotation document."""
+    image_ids, category_ids, gts = _read_annotations(source)
+    items = [GroundTruth(BoundingBox(*b), k) for b, k in zip(gts.boxes.tolist(), gts.cls.tolist())]
+    per_image = _per_image(items, gts.img, len(image_ids))
+    images = tuple(ImageRecord(i, ground_truths=g) for i, g in zip(image_ids, per_image))
     return Dataset(images=images, category_ids=category_ids)
 
 
 def load_detections(source: Source, base: Dataset) -> Dataset:
     """Attach detections from a results document to a ground-truth dataset."""
-    doc = _load_document(source)
-    if not isinstance(doc, list):
-        if isinstance(doc, dict) and isinstance(doc.get("results"), list):
-            doc = doc["results"]
-        else:
-            raise ParseError("results document must be a JSON list")
-
-    index_of = {cid: i for i, cid in enumerate(base.category_ids)}
-    dets: dict[int, list[Detection]] = {rec.image_id: [] for rec in base.images}
-    for i, row in enumerate(doc):
-        where = f"results[{i}]"
-        image_id = _id(row, "image_id", where)
-        if image_id not in dets:
-            raise ValidationError(f"{where}: unknown image id {image_id}")
-        score = float(_number(row, "score", where))
-        if not (0.0 <= score <= 1.0):
-            raise ValidationError(f"{where}: score outside [0, 1]: {score}")
-        cat = _id(row, "category_id", where)
-        if cat not in index_of:
-            raise ValidationError(f"{where}: unknown category id {cat}")
-        box = _corner_box(row, where)
-        dets[image_id].append(Detection(box=box, class_id=index_of[cat], confidence=score))
-
-    images = tuple(
-        replace(rec, detections=tuple(dets[rec.image_id])) for rec in base.images
-    )
+    dets = _read_results(source, [rec.image_id for rec in base.images], base.category_ids)
+    columns = zip(dets.boxes.tolist(), dets.cls.tolist(), dets.scores.tolist())
+    items = [Detection(BoundingBox(*b), k, c) for b, k, c in columns]
+    per_image = _per_image(items, dets.img, len(base.images))
+    images = tuple(replace(rec, detections=d) for rec, d in zip(base.images, per_image))
     return Dataset(images=images, category_ids=base.category_ids)
 
 
@@ -255,39 +322,30 @@ def perturb(dataset: Dataset, params: PerturbationParams) -> Dataset:
 # -- interchange export ----------------------------------------------------
 
 
+def _interchange_row(image_id: int, category_ids: tuple, item) -> dict:
+    b = item.box
+    bbox = [b.left, b.top, b.width, b.height]
+    return {"image_id": image_id, "category_id": category_ids[item.class_id], "bbox": bbox}
+
+
 def dataset_to_annotation_doc(dataset: Dataset) -> dict:
     """Ground truths back to the annotation interchange format."""
-    images = [{"id": rec.image_id} for rec in dataset.images]
-    annotations = []
-    ann_id = 1
-    for rec in dataset.images:
-        for gt in rec.ground_truths:
-            b = gt.box
-            annotations.append(
-                {
-                    "id": ann_id,
-                    "image_id": rec.image_id,
-                    "category_id": dataset.category_ids[gt.class_id],
-                    "bbox": [b.left, b.top, b.width, b.height],
-                }
-            )
-            ann_id += 1
-    categories = [{"id": cid} for cid in dataset.category_ids]
-    return {"images": images, "annotations": annotations, "categories": categories}
+    rows = [
+        _interchange_row(rec.image_id, dataset.category_ids, gt)
+        for rec in dataset.images
+        for gt in rec.ground_truths
+    ]
+    return {
+        "images": [{"id": rec.image_id} for rec in dataset.images],
+        "annotations": [{"id": i, **row} for i, row in enumerate(rows, start=1)],
+        "categories": [{"id": cid} for cid in dataset.category_ids],
+    }
 
 
 def dataset_to_results_doc(dataset: Dataset) -> list[dict]:
     """Detections back to the results interchange format."""
-    rows = []
-    for rec in dataset.images:
-        for det in rec.detections:
-            b = det.box
-            rows.append(
-                {
-                    "image_id": rec.image_id,
-                    "category_id": dataset.category_ids[det.class_id],
-                    "bbox": [b.left, b.top, b.width, b.height],
-                    "score": det.confidence,
-                }
-            )
-    return rows
+    return [
+        {**_interchange_row(rec.image_id, dataset.category_ids, det), "score": det.confidence}
+        for rec in dataset.images
+        for det in rec.detections
+    ]

@@ -6,22 +6,25 @@ highest IoU when that IoU reaches the threshold; otherwise it is a false
 positive. Area filtering removes both detections and ground truths before
 matching, and max-dets truncation happens after area filtering.
 
-match_batch serves both evaluation paths (match_image is a batch of one).
-It matches a batch at the largest max-dets limit in one rank-major greedy
-loop: step s matches the s-th live detection of every (image, class, area)
-cell, for every IoU threshold at once, against a taken mask per (threshold,
-image, area). A detection is live when some ground truth it may take has
-IoU >= the lowest threshold; any other is an FP at every threshold and
-takes nothing, so skipping it changes no verdict. Each smaller limit is a
-prefix of that match, since greedy matching never revisits an earlier
-detection. Batches are matched in chunks of consecutive images, so that
-no IoU matrix passes about _CHUNK_ELEMENTS entries plus one image's.
+_match_columns, the array core, matches a batch given as image-grouped
+columns (_Columns); the CLI feeds it the columns cocostream.ingest reads
+from JSON. match_batch, its object adaptor (match_image is a batch of one),
+reads Detection and GroundTruth objects into columns and strips padding.
+The core matches a batch at the largest max-dets limit in one rank-major
+greedy loop: step s matches the s-th live detection of every (image, class,
+area) cell, for every IoU threshold at once, against a taken mask per
+(threshold, image, area). A detection is live when some ground truth it may
+take has IoU >= the lowest threshold; any other is an FP at every threshold
+and takes nothing, so skipping it changes no verdict. Each smaller limit is
+a prefix of that match, since greedy matching never revisits an earlier
+detection. Batches are matched in chunks of consecutive images, so that no
+IoU matrix passes about _CHUNK_ELEMENTS entries plus one image's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,6 +37,18 @@ _CHUNK_ELEMENTS = 1 << 16
 
 class MatchingError(ValueError):
     """Inputs violate the matching contract (a class id outside the config)."""
+
+
+class _Columns(NamedTuple):
+    """Boxes, one row each, grouped by image; in an image, input order breaks ties."""
+
+    img: np.ndarray  # (n,) int64 image index
+    cls: np.ndarray  # (n,) int64 class index in [0, num_classes)
+    boxes: np.ndarray  # (n, 4) float (left, top, right, bottom)
+    scores: np.ndarray  # (n,) float confidence; ground truths ignore it
+
+    def take(self, rows) -> _Columns:
+        return _Columns(*(c[rows] for c in self))
 
 
 @dataclass(frozen=True)
@@ -77,16 +92,12 @@ def match_batch(
     pairs: Iterable[tuple[Sequence[Detection], Sequence[GroundTruth]]],
     config: EvalConfig,
 ) -> Matches:
-    """Match every (detections, ground_truths) pair in one greedy loop.
+    """Match every (detections, ground_truths) pair with _match_columns.
 
     Padding entries are stripped internally. Class ids must lie in
     [0, config.num_classes) after stripping; an image may hold any mix of
     them, and MatchingError names the smallest bad id of the first image
-    that has one. Each (image, class, threshold, area, limit) cell equals a
-    brute-force greedy match of that image and class alone (asserted by
-    tests). Step s of the loop is exact: its columns lie in distinct
-    (image, class, area) cells, and each may take only ground truths of its
-    own image and class in its own area, so no two of them compete.
+    that has one.
     """
     pairs = list(pairs)
     dets = [d for ds, _ in pairs for d in ds]
@@ -100,11 +111,24 @@ def match_batch(
     if bad.any():
         bad_id = ids[bad & (ids_img == ids_img[bad].min())].min()
         raise MatchingError(f"class id {bad_id} outside [0, {config.num_classes})")
+    confs = np.array([d.confidence for d in dets], dtype=float)
+    dets = _Columns(det_img, det_cls, _box_array(dets), confs)
+    gts = _Columns(gt_img, gt_cls, _box_array(gts), np.zeros(len(gts)))
     real_det, real_gt = det_cls != PADDING_CLASS_ID, gt_cls != PADDING_CLASS_ID
-    confs = np.array([d.confidence for d in dets], dtype=float)[real_det]
-    det_img, det_cls, det_boxes = det_img[real_det], det_cls[real_det], _box_array(dets)[real_det]
-    gt_img, gt_cls, gt_boxes = gt_img[real_gt], gt_cls[real_gt], _box_array(gts)[real_gt]
+    return _match_columns(config, len(pairs), dets.take(real_det), gts.take(real_gt))
 
+
+def _match_columns(config: EvalConfig, images: int, dets: _Columns, gts: _Columns) -> Matches:
+    """The array core of match_batch, on padding-free columns of `images` images.
+
+    Each (image, class, threshold, area, limit) cell equals a brute-force
+    greedy match of that image and class alone (asserted by tests). Step s
+    of the loop is exact: its columns lie in distinct (image, class, area)
+    cells, and each may take only ground truths of its own image and class
+    in its own area, so no two of them compete.
+    """
+    det_img, det_cls, det_boxes, confs = dets
+    gt_img, gt_cls, gt_boxes, _ = gts
     lo, hi = np.array([(r.min_area, r.max_area) for _, r in config.area_ranges]).T[..., None]
     det_areas, gt_areas = _areas(det_boxes), _areas(gt_boxes)
     gt_in = (gt_areas >= lo) & (gt_areas < hi)  # (areas, gts)
@@ -126,14 +150,16 @@ def match_batch(
     img, cls = det_img[det], det_cls[det]
 
     thetas = np.array(config.iou_thresholds)[:, None]
+    # IoU is scale-free; on halved boxes two finite areas sum within range.
+    half_det, half_gt = det_boxes * 0.5, gt_boxes * 0.5
     tp = np.zeros((len(thetas), len(det)), dtype=bool)
     slot = np.arange(len(gt_img)) - np.searchsorted(gt_img, gt_img)  # index in its image
     # A chunk of consecutive images starts at each image whose first row
     # passes a multiple of _CHUNK_ELEMENTS // (the batch's width). An image's
     # rows are its columns, plus one for its padded ground truths.
-    rows = np.bincount(img, minlength=len(pairs)) + 1
+    rows = np.bincount(img, minlength=images) + 1
     chunk = (np.cumsum(rows) - rows) // max(_CHUNK_ELEMENTS // (slot.max(initial=0) + 1), 1)
-    bounds = [*np.flatnonzero(np.diff(chunk, prepend=-1)).tolist(), len(pairs)]
+    bounds = [*np.flatnonzero(np.diff(chunk, prepend=-1)).tolist(), images]
     for first, last in zip(bounds, bounds[1:]):
         c0, c1 = np.searchsorted(img, (first, last))
         g = slice(*np.searchsorted(gt_img, (first, last)))
@@ -142,7 +168,7 @@ def match_batch(
         padded[gt_img[g] - first, slot[g]] = np.arange(g.start, g.stop)
         gi = padded[img[c0:c1] - first]  # (columns, width) gt index, -1 for padding
         eligible = (gi >= 0) & (gt_cls[gi] == cls[c0:c1, None]) & gt_in[area[c0:c1, None], gi]
-        ious = np.where(eligible, _iou(det_boxes[det[c0:c1], None], gt_boxes[gi]), -1.0)
+        ious = np.where(eligible, _iou(half_det[det[c0:c1], None], half_gt[gi]), -1.0)
         # Only live columns step (see the module docstring).
         live = np.flatnonzero(ious.max(axis=1, initial=-1.0) >= thetas.min())
         step = np.arange(len(live)) - np.searchsorted(cell[c0 + live], cell[c0 + live])

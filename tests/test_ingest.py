@@ -337,6 +337,59 @@ class TestErrorsNameLocation:
         with pytest.raises(ParseError, match="results document must be a JSON list"):
             load_detections(doc, load_ground_truth(minimal_doc()))
 
+    @pytest.mark.parametrize(
+        "source, kind", [(None, "NoneType"), (5, "int"), (b"gt.json", "bytes"), (("a",), "tuple")]
+    )
+    def test_source_of_wrong_type_names_it(self, source, kind):
+        message = re.escape(f"a document must be a path, dict or list, got {kind}")
+        with pytest.raises(ParseError, match=message):
+            load_ground_truth(source)
+        with pytest.raises(ParseError, match=message):
+            load_detections(source, load_ground_truth(minimal_doc()))
+
+
+class TestBoxAreaInFloatRange:
+    """A box's area must be a finite float: one past the float range would
+    fall outside every area range, [0, inf) included, and every metric
+    would read -1 with no error."""
+
+    HUGE = [0, 0, 1e308, 1e308]
+
+    def test_library_rejects_it_with_its_location(self):
+        doc = valid_annotation_doc()
+        doc["annotations"][0]["bbox"] = self.HUGE
+        with pytest.raises(ValidationError, match=r"annotations\[0\]: box area is not finite"):
+            load_ground_truth(doc)
+        rows = valid_results()
+        rows[0]["bbox"] = self.HUGE
+        with pytest.raises(ValidationError, match=r"results\[0\]: box area is not finite"):
+            load_detections(rows, load_ground_truth(minimal_doc()))
+
+    @pytest.mark.parametrize("mode", ["streaming", "exact"])
+    @pytest.mark.parametrize("in_results", [False, True])
+    def test_cli_exits_2_naming_it(self, tmp_path, capsys, mode, in_results):
+        doc, rows = valid_annotation_doc(), valid_results()
+        (rows[0] if in_results else doc["annotations"][0])["bbox"] = self.HUGE
+        gt, det = tmp_path / "gt.json", tmp_path / "det.json"
+        gt.write_text(json.dumps(doc))
+        det.write_text(json.dumps(rows))
+        assert main(["evaluate", str(gt), str(det), "--mode", mode]) == 2
+        where = "results[0]" if in_results else "annotations[0]"
+        assert f"error: {where}: box area is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["streaming", "exact"])
+    def test_areas_whose_sum_passes_the_float_range_still_match(self, tmp_path, capsys, mode):
+        # each area is 1.69e308; the IoU's union is 2.08e308, its IoU 0.625
+        doc, rows = valid_annotation_doc(), valid_results()
+        doc["annotations"][0]["bbox"] = [0, 0, 1.3e154, 1.3e154]
+        rows[0]["bbox"] = [0.3e154, 0, 1.3e154, 1.3e154]
+        gt, det = tmp_path / "gt.json", tmp_path / "det.json"
+        gt.write_text(json.dumps(doc))
+        det.write_text(json.dumps(rows))
+        assert main(["evaluate", str(gt), str(det), "--mode", mode, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["map_50"] == 1.0 and report["map_75"] == 0.0
+
 
 class TestOnlyJsonNumbers:
     """Ids must be numbers of integral value; scores and bbox entries must be

@@ -70,6 +70,15 @@ class TestMatchImageClass:
         pad = make_det(0, 0, 10, 10, class_id=-1, confidence=0.5)
         assert verdict_flags(one_cell([pad, tied[0], pad, tied[1], pad], gt)) == [False, True]
 
+    def test_union_past_the_float_range(self):
+        # each area is 1.69e308 and finite; area + area - intersection is
+        # not, and the IoU is 1.3 / 2.08 = 0.625
+        gt = [make_gt(0, 0, 1.3e154, 1.3e154)]
+        det = [make_det(0.3e154, 0, 1.6e154, 1.3e154, confidence=0.9)]
+        assert verdict_flags(one_cell(det, gt, theta=0.62)) == [True]
+        assert verdict_flags(one_cell(det, gt, theta=0.63)) == [False]
+        assert verdict_flags(one_cell([make_det(0, 0, 1.3e154, 1.3e154)], gt, theta=1.0)) == [True]
+
     def test_highest_iou_gt_consumed_first(self):
         gts = [make_gt(0, 0, 10, 8), make_gt(0, 0, 10, 10)]
         det = [make_det(0, 0, 10, 10, confidence=0.9)]
