@@ -36,7 +36,8 @@ _CHUNK_ELEMENTS = 1 << 16
 
 
 class MatchingError(ValueError):
-    """Inputs violate the matching contract (a class id outside the config)."""
+    """Inputs violate the matching contract (a class id outside the config,
+    or a box whose area is past the float range)."""
 
 
 class _Columns(NamedTuple):
@@ -97,7 +98,9 @@ def match_batch(
     Padding entries are stripped internally. Class ids must lie in
     [0, config.num_classes) after stripping; an image may hold any mix of
     them, and MatchingError names the smallest bad id of the first image
-    that has one.
+    that has one. Every other box must have a finite area: MatchingError
+    names the first image with one past the float range, and in it the
+    first such detection, else ground truth.
     """
     pairs = list(pairs)
     dets = [d for ds, _ in pairs for d in ds]
@@ -107,15 +110,24 @@ def match_batch(
     det_cls = np.array([d.class_id for d in dets], dtype=np.int64)
     gt_cls = np.array([g.class_id for g in gts], dtype=np.int64)
     ids, ids_img = np.concatenate([det_cls, gt_cls]), np.concatenate([det_img, gt_img])
-    bad = (ids != PADDING_CLASS_ID) & ((ids < 0) | (ids >= config.num_classes))
+    real = ids != PADDING_CLASS_ID
+    bad = real & ((ids < 0) | (ids >= config.num_classes))
     if bad.any():
         bad_id = ids[bad & (ids_img == ids_img[bad].min())].min()
         raise MatchingError(f"class id {bad_id} outside [0, {config.num_classes})")
+    n, boxes = len(dets), _box_array(dets + gts)
+    with np.errstate(over="ignore"):
+        huge = real & ~np.isfinite(_areas(boxes))
+    if huge.any():
+        i = np.flatnonzero(huge & (ids_img == ids_img[huge].min()))[0]  # detections come first
+        kind, x = ("detection", dets[i]) if i < n else ("ground truth", gts[i - n])
+        raise MatchingError(
+            f"image {ids_img[i]} of the batch: {kind} {x.box} has an area past the float range"
+        )
     confs = np.array([d.confidence for d in dets], dtype=float)
-    dets = _Columns(det_img, det_cls, _box_array(dets), confs)
-    gts = _Columns(gt_img, gt_cls, _box_array(gts), np.zeros(len(gts)))
-    real_det, real_gt = det_cls != PADDING_CLASS_ID, gt_cls != PADDING_CLASS_ID
-    return _match_columns(config, len(pairs), dets.take(real_det), gts.take(real_gt))
+    dets = _Columns(det_img, det_cls, boxes[:n], confs).take(real[:n])
+    gts = _Columns(gt_img, gt_cls, boxes[n:], np.zeros(len(gts))).take(real[n:])
+    return _match_columns(config, len(pairs), dets, gts)
 
 
 def _match_columns(config: EvalConfig, images: int, dets: _Columns, gts: _Columns) -> Matches:

@@ -210,6 +210,10 @@ def interpolate_ap(
     (monotone envelope). For each recall threshold, the envelope value at
     the first point whose recall reaches the threshold contributes; missing
     thresholds contribute 0. Returns the mean contribution.
+
+    This is the definition of one curve's AP. cell_aps computes it for
+    every cell at once, and the tests hold cell_aps to a per-cell loop over
+    this function, bit for bit.
     """
     r = np.asarray(recalls, dtype=float)
     p = np.asarray(precisions, dtype=float)
@@ -231,19 +235,56 @@ def cell_aps(config: EvalConfig, gt_counts, cells, tp, fp) -> np.ndarray:
     order, and counts tp[i] TPs and fp[i] FPs: one point per detection
     (exact) or per occupied bucket (streaming). cells is sorted, and within
     a cell the points run in descending confidence.
+
+    Each AP equals interpolate_ap of the cell's curve, bit for bit, but all
+    cells are reduced together: a fixed number of array passes over the
+    points, then one row sum per distinct count of reached thresholds.
     """
-    tpc = np.concatenate(([0], np.cumsum(tp)))
-    fpc = np.concatenate(([0], np.cumsum(fp)))
+    thresholds = np.asarray(config.recall_thresholds, dtype=float)
     gammas = np.broadcast_to(gt_counts, (len(config.iou_thresholds), *gt_counts.shape)).ravel()
-    bounds = np.searchsorted(cells, np.arange(len(gammas) + 1))
     ap = np.zeros(len(gammas))
-    for c in np.flatnonzero(gammas > 0):
-        lo, hi = bounds[c], bounds[c + 1]
-        cell_tp = tpc[lo + 1 : hi + 1] - tpc[lo]
-        cell_fp = fpc[lo + 1 : hi + 1] - fpc[lo]
-        ap[c] = interpolate_ap(
-            cell_tp / gammas[c], cell_tp / (cell_tp + cell_fp), config.recall_thresholds
-        )
+    bounds = np.searchsorted(cells, np.arange(len(gammas) + 1))
+    rows = np.flatnonzero(bounds[1:] > bounds[:-1])  # cells that have points
+    starts, sizes = bounds[rows], bounds[rows + 1] - bounds[rows]
+
+    # Within-cell cumulative counts: one global cumsum, less the count
+    # before the cell's first point. Recall and precision are the same
+    # float operations as interpolate_ap's inputs. A cell with no ground
+    # truth divides by 1 instead, and reaches no threshold below.
+    ctp, cfp = np.cumsum(tp), np.cumsum(fp)
+    ctp -= np.repeat(ctp[starts] - tp[starts], sizes)
+    cfp -= np.repeat(cfp[starts] - fp[starts], sizes)
+    recall = ctp / np.repeat(np.maximum(gammas[rows], 1), sizes)
+    cfp += ctp
+    precision = ctp / cfp
+    del ctp, cfp
+
+    # A point reaches the k thresholds <= its recall, and k never falls
+    # within a cell, so threshold j is reached from the first point with
+    # k > j on. Its envelope value, the largest precision from there on, is
+    # the maximum over the (cell, k) runs with k > j: exact in any order.
+    width = len(thresholds) + 1
+    k = np.searchsorted(thresholds, recall, side="right")
+    del recall
+    reached = np.where(gammas[rows] > 0, k[starts + sizes - 1], 0)
+    k += np.repeat(np.arange(len(rows)) * width, sizes)  # flat (row, k) key
+    run = np.flatnonzero(np.diff(k, prepend=-1))
+    env = np.zeros((len(rows), width))
+    env.flat[k[run]] = np.maximum.reduceat(precision, run)
+    del k, precision, run
+    env = np.maximum.accumulate(env[:, ::-1], axis=1)[:, ::-1]
+
+    # Sum each row's first `reached` envelope values. Only this step is
+    # order-sensitive: a row sum over `reached` contiguous values adds in
+    # the order of interpolate_ap's 1-D sum, while padding rows to the full
+    # width or np.add.reduceat would not.
+    order = np.argsort(reached, kind="stable")
+    reached, env = reached[order], env[order, 1:]
+    total = np.zeros(len(rows))
+    counts, first = np.unique(reached, return_index=True)
+    for n, lo, hi in zip(counts, first, [*first[1:], len(rows)]):
+        total[lo:hi] = env[lo:hi, :n].sum(axis=1)
+    ap[rows[order]] = total / len(thresholds)
     return ap.reshape(-1, *gt_counts.shape)
 
 

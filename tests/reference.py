@@ -73,7 +73,9 @@ def greedy_cell(dets, gts, theta: float, max_dets: int, area: AreaRange):
 
 def cell_ap(tpc: np.ndarray, fpc: np.ndarray, gamma: int, recall_thresholds) -> float:
     """AP of one cell from cumulative TP / FP counts along descending
-    confidence; points with no detection yet have precision 0."""
+    confidence; points with no detection yet have precision 0. One call per
+    cell is the reference for streaming.cell_aps, which reduces all cells at
+    once."""
     denom = tpc + fpc
     precisions = np.divide(tpc, denom, out=np.zeros(len(tpc), dtype=float), where=denom > 0)
     return interpolate_ap(tpc / gamma, precisions, recall_thresholds)

@@ -200,6 +200,27 @@ class TestMatchImage:
         with pytest.raises(MatchingError, match=re.escape("class id 7 outside [0, 3)")):
             match_batch(batch, small_config)
 
+    def test_box_area_past_float_range_rejected(self, small_config):
+        # 1e308 * 1e308 overflows to inf, so the box would fall in no area range
+        huge = make_det(0, 0, 1e308, 1e308, confidence=0.5)
+        want = f"image 0 of the batch: detection {huge.box} has an area past the float range"
+        with pytest.raises(MatchingError, match=re.escape(want)):
+            match_image([huge], [make_gt()], small_config)
+
+    def test_batch_names_first_image_with_a_huge_box(self, small_config):
+        # padding is stripped unread; image 1's ground truth comes before
+        # image 2's detection
+        padding = make_det(0, 0, 1e308, 1e308, class_id=-1, confidence=0.5)
+        batch = [
+            ([padding, make_det(confidence=0.5)], [make_gt()]),
+            ([make_det(confidence=0.5)], [make_gt(), make_gt(-1e308, 0, 1e308, 2)]),
+            ([make_det(0, 0, 1e300, 1e300, confidence=0.5)], []),
+        ]
+        want = f"image 1 of the batch: ground truth {batch[1][1][1].box} has"
+        with pytest.raises(MatchingError, match=re.escape(want)):
+            match_batch(batch, small_config)
+        assert match_batch(batch[:1], small_config).gt_counts.sum() == 2
+
     def test_grid_path_agrees_with_reference_per_cell(self, small_config):
         # every cell of the per-image loop must equal the brute-force cell
         rng = np.random.default_rng(11)

@@ -1,6 +1,6 @@
 import pytest
 
-from cocostream import EvalConfig, evaluate_exact, finalize, new_state, update
+from cocostream import EvalConfig, MatchingError, evaluate_exact, finalize, new_state, update
 from cocostream.config import METRIC_NAMES
 
 from conftest import make_det, make_gt, random_dataset
@@ -39,6 +39,12 @@ class TestEvaluateExact:
         streaming = finalize(update(new_state(cfg), dataset)).as_dict()
         for name in METRIC_NAMES:
             assert streaming[name] == pytest.approx(exact[name], abs=1e-12), name
+
+    def test_huge_box_rejected(self, small_config):
+        # it used to fall in no area range, so every metric read -1
+        dataset = [([make_det(0, 0, 1e308, 1e308, confidence=0.9)], [make_gt()])]
+        with pytest.raises(MatchingError, match="image 0 of the batch: detection"):
+            evaluate_exact(dataset, small_config)
 
     def test_padding_ignored(self, small_config):
         clean = [([make_det(confidence=0.8)], [make_gt()])]

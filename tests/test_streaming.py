@@ -16,6 +16,7 @@ from cocostream import (
     AreaRange,
     ConfigError,
     EvalConfig,
+    MatchingError,
     MergeError,
     bucket_index,
     evaluate_exact,
@@ -37,9 +38,11 @@ from cocostream.streaming import (
     _read_entries,
     _write_entries,
     add_matches,
+    cell_aps,
 )
 
 from conftest import make_det, make_gt, random_dataset
+from reference import cell_ap
 
 
 class TestNewState:
@@ -151,6 +154,16 @@ class TestUpdate:
         assert not state.tp_buckets.any()
         assert not state.gt_counts.any()
 
+    def test_huge_box_rejected_before_writing(self, small_config):
+        good = ([make_det(confidence=0.7)], [make_gt()])
+        bad = ([make_det(confidence=0.5)], [make_gt(0, 0, 1e308, 1e308)])
+        state = new_state(small_config)
+        with pytest.raises(MatchingError, match="image 1 of the batch: ground truth"):
+            update(state, [good, bad])
+        assert not state.tp_buckets.any()
+        assert not state.fp_buckets.any()
+        assert not state.gt_counts.any()
+
     def test_add_matches_rejects_other_config_before_writing(self, small_config):
         matches = match_batch([([make_det(confidence=0.7)], [make_gt()])], small_config)
         state = new_state(EvalConfig(num_classes=3, buckets=10))
@@ -259,6 +272,65 @@ class TestInterpolateAp:
         got = interpolate_ap([0.2, 0.6, 1.0], [0.5, 0.2, 0.9], grid)
         # envelope = [0.9, 0.9, 0.9]
         assert got == pytest.approx(0.9)
+
+
+@st.composite
+def pr_points(draw):
+    """cell_aps arguments: a small grid whose cells hold 0-6 PR points each,
+    in the exact form (tp bool, fp = ~tp) or the streaming one (int64
+    counts up to 2**40, scaled by a common factor); ground-truth counts
+    include 0 and the values 1, 4 and 100, whose recalls land exactly on
+    thresholds i / 100."""
+    recall_thresholds = draw(
+        st.sampled_from(
+            [
+                EvalConfig(num_classes=1).recall_thresholds,
+                (0.6,),
+                (0.25, 0.5, 0.75, 1.0),
+                (0.0, 0.3, 0.35, 0.9),
+            ]
+        )
+        | st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12, unique=True).map(
+            lambda r: tuple(sorted(r))
+        )
+    )
+    config = EvalConfig(
+        num_classes=draw(st.integers(1, 2)),
+        iou_thresholds=(0.5, 0.75)[: draw(st.integers(1, 2))],
+        recall_thresholds=recall_thresholds,
+        area_ranges=(("all", AreaRange(0.0, math.inf)), ("small", AreaRange(0.0, 32.0**2))),
+    )
+    gamma = st.sampled_from([0, 1, 4, 100]) | st.integers(0, 30)
+    n_gt = 2 * config.num_classes
+    gt_counts = np.array(draw(st.lists(gamma, min_size=n_gt, max_size=n_gt))).reshape(-1, 2)
+    n_cells = len(config.iou_thresholds) * gt_counts.size
+    sizes = draw(st.lists(st.integers(0, 6), min_size=n_cells, max_size=n_cells))
+    cells = np.repeat(np.arange(n_cells), sizes)
+    n = len(cells)
+    if draw(st.booleans()):
+        tp = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+        return config, gt_counts, cells, tp, ~tp
+    count = st.integers(0, 3) | st.integers(0, 2**40)
+    pairs = draw(st.lists(st.tuples(count, count).filter(any), min_size=n, max_size=n))
+    tp, fp = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    scale = draw(st.sampled_from([1, 3, 2**10]))
+    return config, gt_counts * scale, cells, tp * scale, fp * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=pr_points())
+def test_cell_aps_is_interpolate_ap_per_cell_bit_for_bit(args):
+    config, gt_counts, cells, tp, fp = args
+    got = cell_aps(config, gt_counts, cells, tp, fp)
+    gammas = np.broadcast_to(gt_counts, got.shape).ravel()
+    thresholds = config.recall_thresholds
+    want = [
+        cell_ap(np.cumsum(tp[c == cells]), np.cumsum(fp[c == cells]), int(g), thresholds)
+        if g > 0
+        else 0.0
+        for c, g in enumerate(gammas)
+    ]
+    assert [float(ap).hex() for ap in got.ravel()] == [float(ap).hex() for ap in want]
 
 
 class TestFinalize:
