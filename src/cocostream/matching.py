@@ -17,8 +17,10 @@ area) cell, for every IoU threshold at once, against a taken mask per
 take has IoU >= the lowest threshold; any other is an FP at every threshold
 and takes nothing, so skipping it changes no verdict. Each smaller limit is
 a prefix of that match, since greedy matching never revisits an earlier
-detection. Batches are matched in chunks of consecutive images, so that no
-IoU matrix passes about _CHUNK_ELEMENTS entries plus one image's.
+detection; streaming._kept_indices applies that max-dets prefix rule for
+every consumer of Matches. Batches are matched in chunks of consecutive
+images, so that no IoU matrix passes about _CHUNK_ELEMENTS entries plus one
+image's.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ class Matches:
     max-dets limit, in image order and, per image, (area, class, rank) order.
 
     Greedy matching is prefix-stable, so a smaller limit m keeps the
-    columns with rank < m; kept_verdicts is the only place that rule lives.
+    columns with rank < m; streaming._kept_indices is the only place that
+    rule lives.
     """
 
     config: EvalConfig
@@ -68,16 +71,6 @@ class Matches:
     confidences: np.ndarray  # (n,)
     tp: np.ndarray  # (|Theta|, n) bool, one row per IoU threshold
     gt_counts: np.ndarray  # (classes, areas) ground truths in each area range
-
-    def kept_verdicts(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        """(theta, class, area, max-dets, column) index arrays of every TP
-        verdict and of every FP verdict that a max-dets limit keeps."""
-        kept = self.rank < np.array(self.config.max_dets_list)[:, None, None]
-        index = []
-        for hit in (self.tp & kept, ~self.tp & kept):
-            m, t, j = np.nonzero(hit)  # hit is (max-dets, theta, column)
-            index.append((t, self.cls[j], self.area[j], m, j))
-        return index[0], index[1]
 
 
 def match_image(

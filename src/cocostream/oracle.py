@@ -10,6 +10,7 @@ between the two is pure bucketing error.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .config import EvalConfig, MetricReport
 from .geometry import Detection, GroundTruth
 from .matching import Matches, match_batch
-from .streaming import _array_shapes, cell_aps, metric_report
+from .streaming import _array_shapes, _kept_indices, cell_aps, metric_report
 
 
 def evaluate_exact(
@@ -31,9 +32,9 @@ def evaluate_exact(
 def exact_report(matches: Matches) -> MetricReport:
     """Exact 12-metric report from a matched dataset."""
     config = matches.config
-    tp_totals = np.zeros(_array_shapes(config)["tp_buckets"][:-1], dtype=np.int64)
-    tp_index, _ = matches.kept_verdicts()
-    np.add.at(tp_totals, tp_index[:4], 1)
+    shape = _array_shapes(config)["tp_buckets"][:-1]
+    tp_flat, _ = _kept_indices(matches, 1)  # one bucket: the (theta, class, area, limit) cell
+    tp_totals = np.bincount(tp_flat, minlength=math.prod(shape)).reshape(shape)
 
     # Group columns by (theta, class, area) cell, one row of columns per
     # theta, descending confidence within a cell. The sort is stable, so

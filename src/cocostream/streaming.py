@@ -121,37 +121,52 @@ def update(
 def add_matches(state: BucketedState, matches: Matches) -> BucketedState:
     """Fold a matched batch into the state; returns the same state object.
 
-    Raises ValueError, before any write, if the matches were made under
-    another config.
+    Raises ValueError, with the state unchanged, if the matches were made
+    under another config or if a counter would overflow int64; the overflow
+    error names the array, as merge's does.
     """
     if matches.config != state.config:
         raise ValueError("matches were made under a different config than the state")
-    for hist, flat in zip((state.tp_buckets, state.fp_buckets), _verdict_indices(matches)):
-        np.add.at(hist.reshape(-1), flat, 1)
-    state.gt_counts += matches.gt_counts
+    gt_counts = _checked_sum("gt_counts", state.gt_counts, matches.gt_counts)
+    names, added = ("tp_buckets", "fp_buckets"), []
+    for name, flat in zip(names, _kept_indices(matches, state.config.buckets)):
+        hist = getattr(state, name).reshape(-1)
+        np.add.at(hist, flat, 1)
+        added.append((hist, flat))
+        # Counters start >= 0, so one below 0 has wrapped; undoing a wrap is exact.
+        if (hist[flat] < 0).any():
+            for undo, at in added:
+                np.subtract.at(undo, at, 1)
+            raise ValueError(f"counter overflow in array {name}: a sum is outside int64")
+    state.gt_counts[...] = gt_counts
     return state
 
 
-def _verdict_indices(matches: Matches) -> tuple[np.ndarray, np.ndarray]:
-    """Flat C-order histogram indices of every kept TP verdict and of every
-    kept FP verdict, one per verdict, repeats included."""
-    shape = _array_shapes(matches.config)["tp_buckets"]
+def _kept_indices(matches: Matches, buckets: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat C-order indices, in a (|Theta|, classes, areas, max-dets, buckets)
+    grid, of every kept TP verdict and every kept FP verdict, repeats
+    included. Limit m keeps the columns with rank < max_dets_list[m] (greedy
+    matching is prefix-stable); this is the only place that rule lives."""
+    cfg = matches.config
+    n_t, n_k, n_a, n_m, _ = shape = (*_array_shapes(cfg)["tp_buckets"][:-1], buckets)
     _counters("state array tp_buckets", shape)
-    b_of = bucket_index(matches.confidences, matches.config.buckets)
-    return tuple(
-        np.ravel_multi_index((t, k, a, m, b_of[j]), shape)
-        for t, k, a, m, j in matches.kept_verdicts()
+    column = (matches.cls * n_a + matches.area) * (n_m * buckets)
+    flat = (  # (max-dets, theta, column)
+        (column + bucket_index(matches.confidences, buckets))
+        + np.arange(n_t)[:, None] * (n_k * n_a * n_m * buckets)
+        + np.arange(n_m)[:, None, None] * buckets
     )
+    kept = matches.rank < np.array(cfg.max_dets_list)[:, None, None]
+    return flat[matches.tp & kept], flat[~matches.tp & kept]
 
 
 def _match_entries(matches: Matches) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """The (flat indices, counts) entries, per array in snapshot order, that
     save_state would store for add_matches(new_state(config), matches),
     computed without the state."""
-    entries = {
-        name: np.unique(flat, return_counts=True)
-        for name, flat in zip(("tp_buckets", "fp_buckets"), _verdict_indices(matches))
-    }
+    tp, fp = _kept_indices(matches, matches.config.buckets)
+    entries = {"tp_buckets": np.unique(tp, return_counts=True)}
+    entries["fp_buckets"] = np.unique(fp, return_counts=True)
     entries["gt_counts"] = _nonzero(matches.gt_counts)
     return entries
 

@@ -6,7 +6,9 @@ evaluate_exact, and the dense per-cell reducer for finalize.
 match_batch is also held to the per-image match_image records joined in
 batch order, with the chunk cap patched so that batches split into chunks,
 and the snapshot entries and report built straight from its matches are
-held to the dense state's.
+held to the dense state's. The flat histogram index of every kept verdict,
+up to 2**40 buckets, and the oracle's recall totals are held to one
+np.ravel_multi_index per verdict.
 
 Max-dets limits are drawn from 1-6, so prefixes of the single match at the
 largest limit really get cut; a few repeated confidences produce confidence
@@ -14,6 +16,7 @@ ties, and ground-truth pairs mirrored about a detection's box tie in IoU.
 """
 
 import io
+import itertools
 import math
 from dataclasses import replace
 from unittest import mock
@@ -37,8 +40,9 @@ from cocostream import (
     save_state,
     update,
 )
-from cocostream import matching
+from cocostream import matching, oracle
 from cocostream.matching import match_batch, match_image
+from cocostream.oracle import exact_report
 from cocostream.streaming import _finalize_entries, _match_entries, _write_entries, add_matches
 
 from conftest import cell_result, make_det, make_gt, random_dataset
@@ -308,3 +312,56 @@ def test_match_entries_equal_the_dense_state(config, batch):
     save_state(state, want)
     assert got.getvalue() == want.getvalue()
     assert _bits(_finalize_entries(config, entries)) == _bits(finalize(state))
+
+
+def _per_verdict_entries(matches, buckets):
+    """(unique flat indices, counts) of the kept TP and of the kept FP
+    verdicts in a (theta, class, area, limit, bucket) grid, one
+    np.ravel_multi_index per verdict."""
+    config = matches.config
+    shape = (
+        len(config.iou_thresholds),
+        config.num_classes,
+        len(config.area_ranges),
+        len(config.max_dets_list),
+        buckets,
+    )
+    flat = ([], [])
+    for j, rank in enumerate(matches.rank):
+        b = bucket_index(float(matches.confidences[j]), buckets)
+        kept_by = [m for m, limit in enumerate(config.max_dets_list) if rank < limit]
+        for m, t in itertools.product(kept_by, range(len(config.iou_thresholds))):
+            index = (t, matches.cls[j], matches.area[j], m, b)
+            flat[not matches.tp[t, j]].append(np.ravel_multi_index(index, shape))
+    return [np.unique(np.array(f, dtype=np.int64), return_counts=True) for f in flat]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    config=st.builds(replace, configs, buckets=st.sampled_from([1, 7, 10000, 2**40])),
+    batch=st.lists(st.one_of(images, tied_images, padding_images, no_gt_images), max_size=6),
+)
+@example(  # indices past 2**32, and a limit of 1 that cuts the second detection
+    config=EvalConfig(num_classes=NUM_CLASSES, buckets=2**40, max_dets_list=(1, 4)),
+    batch=[
+        (
+            [make_det(confidence=0.9), make_det(confidence=0.8), make_det(class_id=-1)],
+            [make_gt(), make_gt(class_id=-1)],
+        )
+    ],
+)
+def test_kept_indices_equal_a_per_verdict_ravel(config, batch):
+    matches = match_batch(batch, config)
+    entries = _match_entries(matches)
+    tp, fp = _per_verdict_entries(matches, config.buckets)
+    for got, want in ((entries["tp_buckets"], tp), (entries["fp_buckets"], fp)):
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+    # At one bucket, a flat index is the oracle's (theta, class, area, limit) recall cell.
+    with mock.patch.object(oracle, "metric_report", wraps=oracle.metric_report) as reduce:
+        exact_report(matches)
+    tp_totals = reduce.call_args.args[2]
+    idx, counts = _per_verdict_entries(matches, 1)[0]
+    want = np.zeros(tp_totals.size, dtype=np.int64)
+    want[idx] = counts
+    np.testing.assert_array_equal(tp_totals.reshape(-1), want)

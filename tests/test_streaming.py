@@ -172,6 +172,33 @@ class TestUpdate:
         assert not state.tp_buckets.any()
         assert not state.gt_counts.any()
 
+    @pytest.mark.parametrize("fits", [True, False])
+    @pytest.mark.parametrize("name", ["tp_buckets", "fp_buckets", "gt_counts"])
+    def test_overflow_raises_and_leaves_the_state_unchanged(self, small_config, name, fits):
+        # Two TPs share a bucket, as do two FPs, so each array's busiest
+        # counter takes two increments from the batch: a base of 2**63 - 3
+        # reaches the int64 maximum, and 2**63 - 2 would wrap.
+        tps = [make_det(confidence=0.7)] * 2
+        fps = [make_det(50, 50, 60, 60, confidence=0.3)] * 2
+        batch = [(tps + fps, [make_gt()] * 2)]
+        flat = getattr(update(new_state(small_config), batch), name).reshape(-1)
+        at = int(flat.argmax())
+        assert flat[at] == 2
+        state = new_state(small_config)
+        getattr(state, name).flat[at] = 2**63 - 3 + (0 if fits else 1)
+        buf = io.BytesIO()
+        save_state(state, buf)
+        state = load_state(io.BytesIO(buf.getvalue()))  # a valid snapshot's state
+        before = state.copy()
+        if fits:
+            assert getattr(update(state, batch), name).flat[at] == 2**63 - 1
+            return
+        with pytest.raises(ValueError, match=f"counter overflow in array {name}"):
+            update(state, batch)
+        assert_states_equal(state, before)
+        with pytest.raises(ValueError, match=f"counter overflow in array {name}"):
+            merge(state, update(new_state(small_config), batch))
+
     def test_batch_order_invariance(self, small_config):
         batches = [random_dataset(1, n_images=3), random_dataset(2, n_images=3)]
         s1 = update(update(new_state(small_config), batches[0]), batches[1])
