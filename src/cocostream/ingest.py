@@ -94,6 +94,10 @@ def _load_document(source: Source) -> dict | list:
         raise ParseError(f"{path}: cannot read: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply to read") from exc
 
 
 def _field(entry: object, key: str, where: str) -> object:

@@ -13,14 +13,16 @@ reads Detection and GroundTruth objects into columns and strips padding.
 The core matches a batch at the largest max-dets limit in one rank-major
 greedy loop: step s matches the s-th live detection of every (image, class,
 area) cell, for every IoU threshold at once, against a taken mask per
-(threshold, image, area). A detection is live when some ground truth it may
-take has IoU >= the lowest threshold; any other is an FP at every threshold
-and takes nothing, so skipping it changes no verdict. Each smaller limit is
-a prefix of that match, since greedy matching never revisits an earlier
-detection; streaming._kept_indices applies that max-dets prefix rule for
-every consumer of Matches. Batches are matched in chunks of consecutive
-images, so that no IoU matrix passes about _CHUNK_ELEMENTS entries plus one
-image's.
+(threshold, cell). Ground truths are grouped by (image, class), stably, and
+each detection has one IoU row, against its own group only; each of its
+(area) columns reads that row masked to the area's ground truths. A
+detection is live when some ground truth it may take has IoU >= the lowest
+threshold; any other is an FP at every threshold and takes nothing, so
+skipping it changes no verdict. Each smaller limit is a prefix of that
+match, since greedy matching never revisits an earlier detection;
+streaming._kept_indices applies that max-dets prefix rule for every
+consumer of Matches. Batches are matched in chunks of consecutive images,
+so that no IoU matrix passes about _CHUNK_ELEMENTS entries plus one image's.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .config import EvalConfig
 from .geometry import PADDING_CLASS_ID, Detection, GroundTruth
 
-# Cap on a chunk's IoU matrix, (columns + images) x padded ground-truth width.
+# Cap on a chunk's IoU matrices, (columns + detection rows) x widest group.
 _CHUNK_ELEMENTS = 1 << 16
 
 
@@ -130,7 +132,8 @@ def _match_columns(config: EvalConfig, images: int, dets: _Columns, gts: _Column
     greedy match of that image and class alone (asserted by tests). Step s
     of the loop is exact: its columns lie in distinct (image, class, area)
     cells, and each may take only ground truths of its own image and class
-    in its own area, so no two of them compete.
+    in its own area, so no two of them compete. A group keeps input order,
+    so the first maximum of a row is the image's first ground truth at it.
     """
     det_img, det_cls, det_boxes, confs = dets
     gt_img, gt_cls, gt_boxes, _ = gts
@@ -155,38 +158,64 @@ def _match_columns(config: EvalConfig, images: int, dets: _Columns, gts: _Column
     img, cls = det_img[det], det_cls[det]
 
     thetas = np.array(config.iou_thresholds)[:, None]
-    # IoU is scale-free; on halved boxes two finite areas sum within range.
-    half_det, half_gt = det_boxes * 0.5, gt_boxes * 0.5
+    low = thetas.min()
     tp = np.zeros((len(thetas), len(det)), dtype=bool)
-    slot = np.arange(len(gt_img)) - np.searchsorted(gt_img, gt_img)  # index in its image
+    # Ground truths grouped by (image, class), stably, so that a group keeps
+    # input order; a padding slot points at a sentinel after the last one, in
+    # no area range. IoU is scale-free; on halved boxes two finite areas sum
+    # within range.
+    key = gt_img * config.num_classes + gt_cls
+    by_group = np.argsort(key, kind="stable")
+    key = key[by_group]
+    half_gt = np.concatenate([gt_boxes[by_group] * 0.5, np.zeros((1, 4))])
+    gt_in = np.concatenate([gt_in[:, by_group], np.zeros((areas, 1), dtype=bool)], axis=1)
+    # Each detection that some column keeps has one row, in input (so image)
+    # order, read against its own (image, class) group.
+    has_row = np.zeros(len(det_img), dtype=bool)
+    has_row[det] = True
+    row = np.cumsum(has_row)[det] - 1  # the row of each column
+    used = np.flatnonzero(has_row)
+    row_img, half_det = det_img[used], det_boxes[used] * 0.5
+    group = row_img * config.num_classes + det_cls[used]
+    start = np.searchsorted(key, group)
+    size = np.searchsorted(key, group, "right") - start
     # A chunk of consecutive images starts at each image whose first row
-    # passes a multiple of _CHUNK_ELEMENTS // (the batch's width). An image's
-    # rows are its columns, plus one for its padded ground truths.
-    rows = np.bincount(img, minlength=images) + 1
-    chunk = (np.cumsum(rows) - rows) // max(_CHUNK_ELEMENTS // (slot.max(initial=0) + 1), 1)
+    # passes a multiple of _CHUNK_ELEMENTS // (the batch's widest group). An
+    # image's rows are its columns and its detection rows.
+    rows = np.bincount(img, minlength=images) + np.bincount(row_img, minlength=images)
+    chunk = (np.cumsum(rows) - rows) // max(_CHUNK_ELEMENTS // max(size.max(initial=0), 1), 1)
     bounds = [*np.flatnonzero(np.diff(chunk, prepend=-1)).tolist(), images]
     for first, last in zip(bounds, bounds[1:]):
         c0, c1 = np.searchsorted(img, (first, last))
-        g = slice(*np.searchsorted(gt_img, (first, last)))
-        # Each image's ground truths, padded to the chunk's widest image.
-        padded = np.full((last - first, slot[g].max(initial=-1) + 1), -1)
-        padded[gt_img[g] - first, slot[g]] = np.arange(g.start, g.stop)
-        gi = padded[img[c0:c1] - first]  # (columns, width) gt index, -1 for padding
-        eligible = (gi >= 0) & (gt_cls[gi] == cls[c0:c1, None]) & gt_in[area[c0:c1, None], gi]
-        ious = np.where(eligible, _iou(half_det[det[c0:c1], None], half_gt[gi]), -1.0)
-        # Only live columns step (see the module docstring).
-        live = np.flatnonzero(ious.max(axis=1, initial=-1.0) >= thetas.min())
+        r0, r1 = np.searchsorted(row_img, (first, last))
+        slots = np.arange(size[r0:r1].max(initial=0))  # the chunk's widest group
+        gi = np.where(slots < size[r0:r1, None], start[r0:r1, None] + slots, len(key))
+        row_ious = _iou(half_det[r0:r1, None], half_gt[gi])  # (rows, width)
+        # A column whose detection's row reaches the lowest threshold takes
+        # that row, masked to its area range; only live columns step (see
+        # the module docstring).
+        near = np.flatnonzero((row_ious.max(axis=1, initial=-1.0) >= low)[row[c0:c1] - r0])
+        at_row = row[c0 + near] - r0
+        ious = np.where(gt_in[area[c0 + near, None], gi[at_row]], row_ious[at_row], -1.0)
+        is_live = ious.max(axis=1, initial=-1.0) >= low
+        live, ious = near[is_live], ious[is_live]
+        # Live columns ordered by step; the claimed mask has one row per
+        # (image, area, class) cell they hold.
         step = np.arange(len(live)) - np.searchsorted(cell[c0 + live], cell[c0 + live])
-        taken = np.zeros((len(thetas), (last - first) * areas, gi.shape[1]), dtype=bool)
-        at_slot = (img[c0:c1] - first) * areas + area[c0:c1]  # (image, area) of each column
-        for s in range(step.max(initial=-1) + 1):
-            at = live[step == s]
-            avail = np.where(taken[:, at_slot[at]], -1.0, ious[at])  # (thetas, cells, width)
-            best = avail.argmax(axis=-1)  # first max: lowest gt index wins ties
-            hit = avail.max(axis=-1) >= thetas
+        at_cell = np.cumsum(step == 0) - 1
+        by_step = np.argsort(step, kind="stable")
+        live, at_cell, ious = live[by_step], at_cell[by_step], ious[by_step]
+        taken = np.zeros((len(thetas), at_cell.max(initial=-1) + 1, len(slots)), dtype=bool)
+        hits = np.empty((len(thetas), len(live)), dtype=bool)
+        ends = np.cumsum(np.bincount(step)).tolist()
+        for s0, s1 in zip([0, *ends], ends):
+            at = at_cell[s0:s1]
+            avail = np.where(taken[:, at], -1.0, ious[s0:s1])  # (thetas, cells, width)
+            best = avail.argmax(axis=-1)  # first max: the image's first gt wins ties
+            hits[:, s0:s1] = hit = avail.max(axis=-1) >= thetas
             t, c = np.nonzero(hit)
-            taken[t, at_slot[at[c]], best[t, c]] = True
-            tp[:, c0 + at] = hit
+            taken[t, at[c], best[t, c]] = True
+        tp[:, c0 + live] = hits
 
     return Matches(config, cls, area, rank, confs[det], tp, gt_counts)
 

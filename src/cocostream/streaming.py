@@ -472,7 +472,7 @@ def _read_entries(fp: BinaryIO) -> tuple[EvalConfig, dict[str, tuple[np.ndarray,
     header_line = fp.readline()
     try:
         header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"not a state snapshot: {exc}") from exc
     if not isinstance(header, dict):
         raise ValueError("not a state snapshot: header is not a JSON object")

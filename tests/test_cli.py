@@ -452,7 +452,10 @@ class TestBadInputExitsCleanly:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["merge", "report"])
-    @pytest.mark.parametrize("damage", ["truncated", "non-canonical header", "unallocatable count"])
+    @pytest.mark.parametrize(
+        "damage",
+        ["truncated", "non-canonical header", "unallocatable count", "deeply nested header"],
+    )
     def test_bad_snapshot_error_names_its_file(self, golden_paths, tmp_path, capsys,
                                                command, damage):
         gt, det = golden_paths
@@ -465,6 +468,8 @@ class TestBadInputExitsCleanly:
         elif damage == "non-canonical header":
             doc = dict(json.loads(header), extra=1)
             data = json.dumps(doc, sort_keys=True).encode() + b"\n" + body
+        elif damage == "deeply nested header":
+            data = b"[" * 200_000 + b"\n" + body
         else:  # a canonical header whose count asks for petabytes of indices
             config = EvalConfig(num_classes=1, buckets=2**40)
             data = _header(config, [120 * 2**40, 0, 0])
@@ -473,7 +478,7 @@ class TestBadInputExitsCleanly:
         out = tmp_path / "out"
         assert run_cli(command, good, bad, "--output", out) == 2
         err = capsys.readouterr().err
-        assert str(bad) in err and "Traceback" not in err
+        assert err.startswith("error:") and str(bad) in err and "Traceback" not in err
         assert not out.exists()
 
     def test_merge_snapshot_without_arrays(self, golden_paths, tmp_path, capsys):

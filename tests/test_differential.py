@@ -71,7 +71,7 @@ def _shifted(box, dx, dy):
 
 
 @st.composite
-def _images(draw, detections):
+def _images(draw, detections, ground_truths=ground_truths):
     """(detections, ground_truths) plus up to two ground-truth pairs, each
     mirrored about one detection's box so the two tie in IoU for it, and
     optionally a later-ranked detection on one box of the pair, whose
@@ -126,12 +126,11 @@ def test_match_image_cells_equal_reference(config, image):
                     assert cell_result(matches, k, t_idx, a_idx, m_idx) == want
 
 
-@settings(max_examples=150, deadline=None)
-@given(config=configs, batch=st.lists(images, max_size=6))
-def test_update_equals_scalar_reference(config, batch):
+def _scalar_state(config, batch):
+    """The state of batch built from greedy_cell, one grid cell at a time."""
     want = new_state(config)
     for dets, gts in batch:
-        for k in range(NUM_CLASSES):
+        for k in range(config.num_classes):
             k_dets, k_gts = _class_inputs(dets, gts, k)
             for t_idx, theta in enumerate(config.iou_thresholds):
                 for a_idx, (_, area) in enumerate(config.area_ranges):
@@ -142,11 +141,71 @@ def test_update_equals_scalar_reference(config, batch):
                             hist[t_idx, k, a_idx, m_idx, bucket_index(conf, config.buckets)] += 1
                     if t_idx == 0:
                         want.gt_counts[k, a_idx] += gt_count
+    return want
 
-    got = update(new_state(config), batch)
+
+def _assert_states_equal(got, want):
     np.testing.assert_array_equal(got.tp_buckets, want.tp_buckets)
     np.testing.assert_array_equal(got.fp_buckets, want.fp_buckets)
     np.testing.assert_array_equal(got.gt_counts, want.gt_counts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=configs, batch=st.lists(images, max_size=6))
+def test_update_equals_scalar_reference(config, batch):
+    _assert_states_equal(update(new_state(config), batch), _scalar_state(config, batch))
+
+
+@st.composite
+def many_class_batches(draw):
+    """(num_classes, batch) at 1-5 classes. Each image is an _images draw
+    plus several ground truths of one class, detections shifted off some
+    ground truths in their class, and detections on a ground truth's very
+    box (IoU 1) in another class, which must stay false positives."""
+    k = draw(st.integers(1, 5))
+    cls = st.integers(0, k - 1)
+    image = _images(
+        st.builds(Detection, boxes(), cls, confidences), st.builds(GroundTruth, boxes(), cls)
+    )
+    batch = []
+    for _ in range(draw(st.integers(0, 5))):
+        dets, gts = draw(image)
+        crowded = draw(cls)
+        gts += [GroundTruth(b, crowded) for b in draw(st.lists(boxes(), min_size=2, max_size=5))]
+        gts = draw(st.permutations(gts))
+        for g in draw(st.lists(st.sampled_from(gts), max_size=4)):
+            dx, dy = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+            dets.append(Detection(_shifted(g.box, dx, dy), g.class_id, draw(confidences)))
+        for g in draw(st.lists(st.sampled_from(gts), max_size=2)) if k > 1 else ():
+            other = (g.class_id + draw(st.integers(1, k - 1))) % k
+            dets.append(Detection(g.box, other, draw(confidences)))
+        batch.append((dets, gts))
+    return k, batch
+
+
+@pytest.mark.parametrize("cap", [matching._CHUNK_ELEMENTS, 16, -1])
+@settings(max_examples=100, deadline=None)
+@given(
+    data=many_class_batches(),
+    iou_thresholds=st.sampled_from([(0.5,), (0.3, 0.5, 0.7), (0.1, 0.75, 1.0)]),
+    max_dets=st.integers(1, 6),
+)
+def test_many_class_batches_equal_the_scalar_reference(cap, data, iou_thresholds, max_dets):
+    num_classes, batch = data
+    config = EvalConfig(
+        num_classes=num_classes,
+        iou_thresholds=iou_thresholds,
+        buckets=10000,
+        max_dets_list=tuple(sorted({1, max_dets})),
+    )
+    with mock.patch.object(matching, "_CHUNK_ELEMENTS", cap):
+        got = update(new_state(config), batch)
+        joined = match_batch(batch, config)
+    _assert_states_equal(got, _scalar_state(config, batch))
+    records = [match_image([], [], config)] + [match_image(d, g, config) for d, g in batch]
+    for field in ("cls", "area", "rank", "confidences", "tp"):
+        want = np.concatenate([getattr(r, field) for r in records], axis=-1)
+        np.testing.assert_array_equal(getattr(joined, field), want)
 
 
 padding = BoundingBox(0.0, 0.0, 0.0, 0.0)

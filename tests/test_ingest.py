@@ -348,6 +348,45 @@ class TestErrorsNameLocation:
             load_detections(source, load_ground_truth(minimal_doc()))
 
 
+class TestUnreadableDocument:
+    """A document that is not UTF-8, or that nests past the parser's
+    recursion limit, is a ParseError that names its file, and exit 2 from
+    every command that reads it."""
+
+    DAMAGE = {
+        "not UTF-8": b'\xff\xfe{"images": []}',
+        "nested too deeply": b"[" * 200_000,
+    }
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    @pytest.mark.parametrize("document", ["annotations", "results"])
+    def test_library_names_the_file(self, tmp_path, damage, document):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(self.DAMAGE[damage])
+        with pytest.raises(ParseError, match=re.escape(f"{bad}: ") + ".*" + damage):
+            if document == "annotations":
+                load_ground_truth(bad)
+            else:
+                load_detections(bad, load_ground_truth(minimal_doc()))
+
+    @pytest.mark.parametrize("damage", DAMAGE)
+    @pytest.mark.parametrize("command", ["evaluate annotations", "evaluate results", "synth-bench"])
+    def test_cli_exits_2_naming_the_file(self, tmp_path, capsys, damage, command):
+        gt, det, bad = tmp_path / "gt.json", tmp_path / "det.json", tmp_path / "bad.json"
+        gt.write_text(json.dumps(minimal_doc()))
+        det.write_text("[]")
+        bad.write_bytes(self.DAMAGE[damage])
+        args = {
+            "evaluate annotations": ["evaluate", bad, det],
+            "evaluate results": ["evaluate", gt, bad],
+            "synth-bench": ["synth-bench", bad, "--image-counts", "1", "--repeats", "1"],
+        }[command]
+        assert main([str(a) for a in args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and damage in err
+        assert "Traceback" not in err
+
+
 class TestBoxAreaInFloatRange:
     """A box's area must be a finite float: one past the float range would
     fall outside every area range, [0, inf) included, and every metric

@@ -1,10 +1,19 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cocostream import AreaRange, ConfigError, EvalConfig, MatchingError
+from cocostream import (
+    AreaRange,
+    BoundingBox,
+    ConfigError,
+    Detection,
+    EvalConfig,
+    GroundTruth,
+    MatchingError,
+)
 from cocostream.matching import match_batch, match_image
 
 from conftest import cell_result, make_det, make_gt, random_image
@@ -274,3 +283,39 @@ class TestMatchingProperties:
             for k in range(len(dets)):
                 prefix, _ = one_cell(dets[:k], gts)
                 assert full[:k] == prefix
+
+
+class TestMemoryBound:
+    """match_batch's peak memory follows its chunk cap, whatever the number
+    of classes or the widest (image, class) group of the batch."""
+
+    BOX = BoundingBox(0.0, 0.0, 10.0, 10.0)
+
+    def peak(self, batch, config):
+        tracemalloc.start()
+        try:
+            matches = match_batch(batch, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matches.tp.all()  # every detection sits on a ground truth of its class
+        return peak
+
+    def test_many_classes(self):
+        # One box per image over 10**5 classes: an array sized images x
+        # classes would take 1.6 GB.
+        k = 10**5
+        batch = [
+            ([Detection(self.BOX, i * 50 % k, 0.5)], [GroundTruth(self.BOX, i * 50 % k)])
+            for i in range(2000)
+        ]
+        assert self.peak(batch, EvalConfig(num_classes=k)) < 16e6
+
+    def test_one_wide_group(self):
+        # 3,000 class-0 ground truths side by side in one image, then 3,000
+        # images of one box each: padding every image's group to the widest
+        # one at once would take about 84 MB.
+        wide = [GroundTruth(BoundingBox(20.0 * j, 0.0, 20.0 * j + 10, 10.0), 0) for j in range(3000)]
+        one = ([Detection(self.BOX, 0, 0.5)], [GroundTruth(self.BOX, 0)])
+        batch = [([Detection(self.BOX, 0, 0.5)], wide)] + [one] * 3000
+        assert self.peak(batch, EvalConfig(num_classes=1)) < 16e6

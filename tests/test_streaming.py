@@ -427,6 +427,10 @@ class TestSnapshot:
         with pytest.raises(ValueError):
             load_state(io.BytesIO(b"\x00\x01\x02 not a snapshot\n"))
 
+    def test_deeply_nested_header_rejected(self):
+        with pytest.raises(ValueError, match="not a state snapshot"):
+            load_state(io.BytesIO(b"[" * 200_000 + b"\n"))
+
     def test_pinned_bytes(self):
         # The snapshot layout is a file format: these bytes must never drift.
         config = EvalConfig(
