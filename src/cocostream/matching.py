@@ -20,7 +20,7 @@ detection is live when some ground truth it may take has IoU >= the lowest
 threshold; any other is an FP at every threshold and takes nothing, so
 skipping it changes no verdict. Each smaller limit is a prefix of that
 match, since greedy matching never revisits an earlier detection;
-streaming._kept_indices applies that max-dets prefix rule for every
+streaming._tp_totals applies that max-dets prefix rule for every
 consumer of Matches. Batches are matched in chunks of consecutive images,
 so that no IoU matrix passes about _CHUNK_ELEMENTS entries plus one image's.
 """
@@ -62,7 +62,7 @@ class Matches:
     max-dets limit, in image order and, per image, (area, class, rank) order.
 
     Greedy matching is prefix-stable, so a smaller limit m keeps the
-    columns with rank < m; streaming._kept_indices is the only place that
+    columns with rank < m; streaming._tp_totals is the only place that
     rule lives.
     """
 

@@ -10,7 +10,6 @@ between the two is pure bucketing error.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .config import EvalConfig, MetricReport
 from .geometry import Detection, GroundTruth
 from .matching import Matches, match_batch
-from .streaming import _array_shapes, _kept_indices, cell_aps, metric_report
+from .streaming import _cells, _tp_totals, cell_aps, metric_report
 
 
 def evaluate_exact(
@@ -31,19 +30,11 @@ def evaluate_exact(
 
 def exact_report(matches: Matches) -> MetricReport:
     """Exact 12-metric report from a matched dataset."""
-    config = matches.config
-    shape = _array_shapes(config)["tp_buckets"][:-1]
-    tp_flat, _ = _kept_indices(matches, 1)  # one bucket: the (theta, class, area, limit) cell
-    tp_totals = np.bincount(tp_flat, minlength=math.prod(shape)).reshape(shape)
-
     # Group columns by (theta, class, area) cell, one row of columns per
     # theta, descending confidence within a cell. The sort is stable, so
     # ties keep dataset order, then rank.
     order = np.lexsort((-matches.confidences, matches.area, matches.cls))
-    n_a, n_cells = len(config.area_ranges), matches.gt_counts.size
-    cell_of = np.arange(len(config.iou_thresholds))[:, None] * n_cells + (
-        matches.cls * n_a + matches.area
-    )[order]
+    cell_of = _cells(matches)[:, order].ravel()
     tp = matches.tp[:, order].ravel()
-    ap = cell_aps(config, matches.gt_counts, cell_of.ravel(), tp, ~tp)
-    return metric_report(config, matches.gt_counts, tp_totals, ap)
+    ap = cell_aps(matches.config, matches.gt_counts, cell_of, tp, ~tp)
+    return metric_report(matches.config, matches.gt_counts, _tp_totals(matches), ap)

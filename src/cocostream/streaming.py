@@ -1,10 +1,10 @@
 """Fixed-size bucketed counters for streaming COCO metric evaluation.
 
 Instead of keeping every detection's confidence and TP/FP verdict, the
-state holds per-bucket TP and FP counts plus ground-truth totals. Updates
-are mini-batch friendly, states with identical configs merge by elementwise
-addition, and finalization recovers exact recall and a close approximation
-of mean average precision from the bucket histograms.
+state holds per-bucket TP and FP counts at the largest max-dets limit, TP
+totals per limit and ground-truth totals. Updates are mini-batch friendly,
+states with identical configs merge by elementwise addition, and
+finalization recovers exact recall and approximate mean average precision.
 
 Counters stay exact integers until finalization, so merging is exactly
 associative and commutative.
@@ -58,14 +58,18 @@ def bucket_index(confidence: float | np.ndarray, buckets: int) -> int | np.ndarr
 class BucketedState:
     """Fixed-size streaming state.
 
-    tp_buckets / fp_buckets have shape (|Theta|, classes, areas, maxdets,
-    buckets); gt_counts has shape (classes, areas). Shapes are determined
-    by the config and never change.
+    tp_buckets / fp_buckets count the TP / FP verdicts at the largest
+    max-dets limit, shape (|Theta|, classes, areas, 1, buckets): the
+    length-1 axis stays only because perfbench indexes five axes. tp_totals
+    counts the TPs at each limit, shape (|Theta|, classes, areas, max-dets);
+    gt_counts has shape (classes, areas). Shapes are determined by the
+    config and never change.
     """
 
     config: EvalConfig
     tp_buckets: np.ndarray
     fp_buckets: np.ndarray
+    tp_totals: np.ndarray
     gt_counts: np.ndarray
 
     def copy(self) -> "BucketedState":
@@ -76,17 +80,12 @@ class BucketedState:
 
 def _array_shapes(config: EvalConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of each state array, in snapshot order."""
-    hist = (
-        len(config.iou_thresholds),
-        config.num_classes,
-        len(config.area_ranges),
-        len(config.max_dets_list),
-        config.buckets,
-    )
+    cells = (len(config.iou_thresholds), config.num_classes, len(config.area_ranges))
     return {
-        "tp_buckets": hist,
-        "fp_buckets": hist,
-        "gt_counts": (config.num_classes, len(config.area_ranges)),
+        "tp_buckets": (*cells, 1, config.buckets),
+        "fp_buckets": (*cells, 1, config.buckets),
+        "tp_totals": (*cells, len(config.max_dets_list)),
+        "gt_counts": cells[1:],
     }
 
 
@@ -102,7 +101,8 @@ def _counters(array: str, shape: tuple[int, ...]) -> int:
 def new_state(config: EvalConfig) -> BucketedState:
     """All-zero state sized by the config grid."""
     shapes = _array_shapes(config)
-    _counters("state array tp_buckets", shapes["tp_buckets"])
+    for name, shape in shapes.items():
+        _counters(f"state array {name}", shape)
     return BucketedState(config, **{n: np.zeros(s, dtype=np.int64) for n, s in shapes.items()})
 
 
@@ -128,8 +128,9 @@ def add_matches(state: BucketedState, matches: Matches) -> BucketedState:
     if matches.config != state.config:
         raise ValueError("matches were made under a different config than the state")
     gt_counts = _checked_sum("gt_counts", state.gt_counts, matches.gt_counts)
+    tp_totals = _checked_sum("tp_totals", state.tp_totals, _tp_totals(matches))
     names, added = ("tp_buckets", "fp_buckets"), []
-    for name, flat in zip(names, _kept_indices(matches, state.config.buckets)):
+    for name, flat in zip(names, _kept_indices(matches)):
         hist = getattr(state, name).reshape(-1)
         np.add.at(hist, flat, 1)
         added.append((hist, flat))
@@ -138,37 +139,51 @@ def add_matches(state: BucketedState, matches: Matches) -> BucketedState:
             for undo, at in added:
                 np.subtract.at(undo, at, 1)
             raise ValueError(f"counter overflow in array {name}: a sum is outside int64")
+    state.tp_totals[...] = tp_totals
     state.gt_counts[...] = gt_counts
     return state
 
 
-def _kept_indices(matches: Matches, buckets: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat C-order indices, in a (|Theta|, classes, areas, max-dets, buckets)
-    grid, of every kept TP verdict and every kept FP verdict, repeats
-    included. Limit m keeps the columns with rank < max_dets_list[m] (greedy
-    matching is prefix-stable); this is the only place that rule lives."""
+def _cells(matches: Matches) -> np.ndarray:
+    """(|Theta|, columns) flat C-order (theta, class, area) cell of each verdict."""
+    n_t, n_k, n_a = _array_shapes(matches.config)["tp_totals"][:-1]
+    return np.arange(n_t)[:, None] * (n_k * n_a) + (matches.cls * n_a + matches.area)
+
+
+def _kept_indices(matches: Matches) -> tuple[np.ndarray, np.ndarray]:
+    """Flat C-order indices, in the histogram grid, of every TP verdict and
+    every FP verdict, repeats included; every column of matches is kept at
+    the largest max-dets limit."""
+    buckets = matches.config.buckets
+    _counters("state array tp_buckets", _array_shapes(matches.config)["tp_buckets"])
+    flat = _cells(matches) * buckets + bucket_index(matches.confidences, buckets)
+    return flat[matches.tp], flat[~matches.tp]
+
+
+def _tp_totals(matches: Matches) -> np.ndarray:
+    """The (|Theta|, classes, areas, max-dets) TP counts of matches. Limit m
+    keeps the columns with rank < max_dets_list[m] (greedy matching is
+    prefix-stable); this is the only place that rule lives. Each TP counts
+    once, at the first limit that keeps it, then the limits are summed up."""
     cfg = matches.config
-    n_t, n_k, n_a, n_m, _ = shape = (*_array_shapes(cfg)["tp_buckets"][:-1], buckets)
-    _counters("state array tp_buckets", shape)
-    column = (matches.cls * n_a + matches.area) * (n_m * buckets)
-    flat = (  # (max-dets, theta, column)
-        (column + bucket_index(matches.confidences, buckets))
-        + np.arange(n_t)[:, None] * (n_k * n_a * n_m * buckets)
-        + np.arange(n_m)[:, None, None] * buckets
-    )
-    kept = matches.rank < np.array(cfg.max_dets_list)[:, None, None]
-    return flat[matches.tp & kept], flat[~matches.tp & kept]
+    shape = _array_shapes(cfg)["tp_totals"]
+    first = np.searchsorted(cfg.max_dets_list, matches.rank, side="right")
+    flat = _cells(matches) * shape[-1] + first
+    counts = np.bincount(flat[matches.tp], minlength=_counters("state array tp_totals", shape))
+    return np.cumsum(counts.reshape(shape), axis=-1)
 
 
 def _match_entries(matches: Matches) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """The (flat indices, counts) entries, per array in snapshot order, that
     save_state would store for add_matches(new_state(config), matches),
     computed without the state."""
-    tp, fp = _kept_indices(matches, matches.config.buckets)
-    entries = {"tp_buckets": np.unique(tp, return_counts=True)}
-    entries["fp_buckets"] = np.unique(fp, return_counts=True)
-    entries["gt_counts"] = _nonzero(matches.gt_counts)
-    return entries
+    tp, fp = _kept_indices(matches)
+    return {
+        "tp_buckets": np.unique(tp, return_counts=True),
+        "fp_buckets": np.unique(fp, return_counts=True),
+        "tp_totals": _nonzero(_tp_totals(matches)),
+        "gt_counts": _nonzero(matches.gt_counts),
+    }
 
 
 def _nonzero(array: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -356,16 +371,16 @@ def finalize(state: BucketedState) -> MetricReport:
 
     Recall metrics are exact (total TP over total ground truths); MaP uses
     the bucket-granularity PR curve and is approximate up to bucket width.
-    Only the occupied buckets at the largest max-dets limit are reduced: an
-    empty bucket repeats the PR point before it.
+    Only the occupied buckets are reduced: an empty bucket repeats the PR
+    point before it.
     """
     cfg = state.config
-    # (cells, buckets) views of the top limit, highest bucket first.
-    tp = state.tp_buckets[..., -1, ::-1].reshape(-1, cfg.buckets)
-    fp = state.fp_buckets[..., -1, ::-1].reshape(-1, cfg.buckets)
+    # (cells, buckets) views, highest bucket first.
+    tp = state.tp_buckets[..., ::-1].reshape(-1, cfg.buckets)
+    fp = state.fp_buckets[..., ::-1].reshape(-1, cfg.buckets)
     cells, b = np.divmod(np.flatnonzero(np.logical_or(tp, fp)), cfg.buckets)
     ap = cell_aps(cfg, state.gt_counts, cells, tp[cells, b], fp[cells, b])
-    return metric_report(cfg, state.gt_counts, state.tp_buckets.sum(axis=-1), ap)
+    return metric_report(cfg, state.gt_counts, state.tp_totals, ap)
 
 
 def _finalize_entries(config: EvalConfig, entries: dict) -> MetricReport:
@@ -373,25 +388,18 @@ def _finalize_entries(config: EvalConfig, entries: dict) -> MetricReport:
     indices, counts), as _read_entries returns them, with no dense state;
     the report is bit-identical to finalize's.
 
-    Recall totals are int64 sums over each (theta, class, area, max-dets)
-    cell. The PR points are the union of the occupied TP and FP buckets at
-    the largest limit, keyed by cell and then by bucket, highest first.
+    The PR points are the union of the occupied TP and FP buckets, keyed by
+    cell and then by bucket, highest first.
     """
-    buckets, limits = config.buckets, len(config.max_dets_list)
-    shapes = _array_shapes(config)
+    buckets, shapes = config.buckets, _array_shapes(config)
     gt_counts = _dense(shapes["gt_counts"], entries["gt_counts"])
-    tp_totals = np.zeros(shapes["tp_buckets"][:-1], dtype=np.int64)
-    tp_idx, tp_values = entries["tp_buckets"]
-    np.add.at(tp_totals.reshape(-1), tp_idx // buckets, tp_values)
     points = []
     for idx, values in (entries["tp_buckets"], entries["fp_buckets"]):
-        cell_limit, b = np.divmod(idx, buckets)
-        cell, limit = np.divmod(cell_limit, limits)
-        top = limit == limits - 1
-        points.append((cell[top] * buckets + (buckets - 1 - b[top]), values[top]))
+        cell, b = np.divmod(idx, buckets)
+        points.append((cell * buckets + (buckets - 1 - b), values))
     keys, tp, fp = _join(*points)
     ap = cell_aps(config, gt_counts, keys // buckets, tp, fp)
-    return metric_report(config, gt_counts, tp_totals, ap)
+    return metric_report(config, gt_counts, _dense(shapes["tp_totals"], entries["tp_totals"]), ap)
 
 
 # -- state snapshot serialization -----------------------------------------
@@ -404,7 +412,7 @@ def _finalize_entries(config: EvalConfig, entries: dict) -> MetricReport:
 # give equal bytes, so merge outputs are grouping-independent and
 # single-input merges are copies.
 
-_MAGIC = "cocostream-state/2"
+_MAGIC = "cocostream-state/3"
 
 
 def _header(config: EvalConfig, nonzero: Sequence) -> bytes:
@@ -419,7 +427,7 @@ def _header(config: EvalConfig, nonzero: Sequence) -> bytes:
 
 
 def save_state(state: BucketedState, fp: BinaryIO) -> None:
-    """Write the state's canonical snapshot (format cocostream-state/2):
+    """Write the state's canonical snapshot (format cocostream-state/3):
     only its non-zero counters, so equal states give equal bytes.
     load_state reads it back."""
     entries = {name: _nonzero(getattr(state, name)) for name in _array_shapes(state.config)}
@@ -453,8 +461,8 @@ def _transfer(io_call, buffer, error: str) -> None:
 def load_state(fp: BinaryIO) -> BucketedState:
     """Read a snapshot into a new state.
 
-    Rejects any snapshot that save_state could not have written; the whole
-    snapshot is read and checked before the state is allocated.
+    Rejects any snapshot that _read_entries rejects; the whole snapshot is
+    read and checked before the state is allocated.
     """
     config, entries = _read_entries(fp)
     return BucketedState(
@@ -466,8 +474,12 @@ def _read_entries(fp: BinaryIO) -> tuple[EvalConfig, dict[str, tuple[np.ndarray,
     """Read and check a whole snapshot without building its state.
 
     Returns its config and, per array in snapshot order, the (flat indices,
-    counts) it stores: indices strictly increasing, counts >= 1. Raises
-    ValueError for any snapshot that save_state could not have written.
+    counts) it stores: indices strictly increasing, counts >= 1. As in any
+    state that matching gives, in each (theta, class, area) cell, the last
+    column of tp_totals is the exact sum of the cell's tp_buckets counts,
+    tp_totals does not decrease along max-dets, and it never exceeds
+    gt_counts; so every recall lies in [0, 1]. Raises ValueError, naming
+    the array, for any other snapshot.
     """
     header_line = fp.readline()
     try:
@@ -518,6 +530,21 @@ def _read_entries(fp: BinaryIO) -> tuple[EvalConfig, dict[str, tuple[np.ndarray,
         entries[name] = idx, counts
     if fp.read(1):
         raise ValueError("trailing bytes after snapshot arrays")
+    totals = _dense(shapes["tp_totals"], entries["tp_totals"])
+    top = totals[..., -1].reshape(-1)
+    cell, counts = entries["tp_buckets"][0] // config.buckets, entries["tp_buckets"][1]
+    sums = np.zeros_like(top)
+    np.add.at(sums, cell, counts)
+    # np.add.at wraps silently; a wrapped sum that equals top (< 2**63) has
+    # a true sum >= 2**64, which the float64 sum shows well past 1.5 * 2**63.
+    if (sums != top).any() or (np.bincount(cell, counts, len(top)) >= 3.0 * 2**62).any():
+        raise ValueError(
+            "snapshot array tp_totals: its last max-dets column is not the sum of tp_buckets"
+        )
+    if (np.diff(totals, axis=-1) < 0).any():
+        raise ValueError("snapshot array tp_totals: a count decreases along max-dets")
+    if (totals > _dense(shapes["gt_counts"], entries["gt_counts"])[..., None]).any():
+        raise ValueError("snapshot array tp_totals: a count exceeds its gt_counts")
     return config, entries
 
 

@@ -133,10 +133,10 @@ def dense_finalize(state: BucketedState) -> MetricReport:
         # Suffix sums over the bucket axis: entry i counts detections whose
         # bucket index is >= buckets - 1 - i.
         return cell_ap(
-            np.cumsum(state.tp_buckets[t_idx, k, a_idx, -1, ::-1]),
-            np.cumsum(state.fp_buckets[t_idx, k, a_idx, -1, ::-1]),
+            np.cumsum(state.tp_buckets[t_idx, k, a_idx, 0, ::-1]),
+            np.cumsum(state.fp_buckets[t_idx, k, a_idx, 0, ::-1]),
             int(state.gt_counts[k, a_idx]),
             cfg.recall_thresholds,
         )
 
-    return metric_report(cfg, state.gt_counts, state.tp_buckets.sum(axis=-1), ap_for)
+    return metric_report(cfg, state.gt_counts, state.tp_totals, ap_for)

@@ -98,7 +98,7 @@ def test_criterion_3_merge_correctness():
     rng = random.Random(7)
 
     def counters(s):
-        return s.tp_buckets, s.fp_buckets, s.gt_counts
+        return s.tp_buckets, s.fp_buckets, s.tp_totals, s.gt_counts
 
     for trial in range(10):
         n_shards = rng.randint(2, 8)

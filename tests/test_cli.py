@@ -176,7 +176,8 @@ class TestMerge:
             state = update(new_state(config), random_dataset(seed, n_images=2, num_classes=1))
             with path.open("wb") as fh:
                 save_state(state, fh)
-        nbytes = sum(a.nbytes for a in (state.tp_buckets, state.fp_buckets, state.gt_counts))
+        arrays = (state.tp_buckets, state.fp_buckets, state.tp_totals, state.gt_counts)
+        nbytes = sum(a.nbytes for a in arrays)
         tracemalloc.start()
         try:
             assert run_cli("merge", *paths, "--output", tmp_path / "merged.bin") == 0
@@ -190,8 +191,8 @@ class TestMerge:
         # 2 * 2**62 overflows int64, and 4 copies would wrap to exactly 0
         config = EvalConfig(num_classes=1, buckets=4, iou_thresholds=(0.5,), max_dets_list=(10,))
         state = new_state(config)
-        state.tp_buckets[0, 0, 0, 0, 2] = 2**62
-        state.gt_counts[0, 0] = 1
+        state.tp_buckets[0, 0, 0, 0, 2] = state.tp_totals[0, 0, 0, 0] = 2**62
+        state.gt_counts[0, 0] = 2**62
         path = tmp_path / "big.state"
         with path.open("wb") as fh:
             save_state(state, fh)
@@ -441,20 +442,24 @@ class TestBadInputExitsCleanly:
         "command", [["evaluate"], ["synth-bench", "--image-counts", 1, "--repeats", 1]]
     )
     def test_grid_past_int64_names_the_array(self, golden_paths, tmp_path, capsys, command):
-        # 10 * 3 * 4 * 3 * 2**60 counters: more than int64 flat indices address
+        # 10 * 2 * 4 * 1 * 2**60 counters: more than int64 flat indices address
         gt, det = golden_paths
         out = tmp_path / "r.txt"
         inputs = [gt, det] if command[0] == "evaluate" else [gt]
         assert run_cli(command[0], *inputs, *command[1:], "--output", out,
                        "--buckets", 2**60) == 2
         err = capsys.readouterr().err
-        assert "error: state array tp_buckets: its 276701161105643274240 counters do not fit" in err
+        assert "error: state array tp_buckets: its 92233720368547758080 counters do not fit" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["merge", "report"])
     @pytest.mark.parametrize(
         "damage",
-        ["truncated", "non-canonical header", "unallocatable count", "deeply nested header"],
+        [
+            "truncated", "non-canonical header", "unallocatable count", "deeply nested header",
+            "format 2", "tp_totals not the bucket sum", "wrapped bucket sum", "recall above 1",
+            "tp_totals decreasing",
+        ],
     )
     def test_bad_snapshot_error_names_its_file(self, golden_paths, tmp_path, capsys,
                                                command, damage):
@@ -470,9 +475,28 @@ class TestBadInputExitsCleanly:
             data = json.dumps(doc, sort_keys=True).encode() + b"\n" + body
         elif damage == "deeply nested header":
             data = b"[" * 200_000 + b"\n" + body
-        else:  # a canonical header whose count asks for petabytes of indices
+        elif damage == "format 2":
+            doc = dict(json.loads(header), format="cocostream-state/2")
+            data = json.dumps(doc, sort_keys=True).encode() + b"\n" + body
+        elif damage == "unallocatable count":  # a canonical header asking for petabytes
             config = EvalConfig(num_classes=1, buckets=2**40)
-            data = _header(config, [120 * 2**40, 0, 0])
+            data = _header(config, [40 * 2**40, 0, 0, 0])
+        else:  # TP counts that no matches give, in a canonical snapshot
+            with good.open("rb") as fh:
+                state = load_state(fh)
+            gt = state.gt_counts[0, 0]
+            if damage == "wrapped bucket sum":  # the int64 sum gains 2**64, so it is unchanged
+                state.tp_buckets[0, 0, 0, 0, :4] += 2**62
+            elif damage == "tp_totals decreasing":  # and within gt_counts
+                state.tp_totals[0, 0, 0, 0] = state.tp_totals[0, 0, 0, -1] + 1
+                state.gt_counts[0, 0] += 1
+            else:
+                state.tp_buckets[0, 0, 0, 0, 0] += gt + 1
+                if damage == "recall above 1":
+                    state.tp_totals[0, 0, 0] += gt + 1
+            buf = io.BytesIO()
+            save_state(state, buf)
+            data = buf.getvalue()
         bad = tmp_path / "bad.state"
         bad.write_bytes(data)
         out = tmp_path / "out"

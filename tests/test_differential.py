@@ -16,7 +16,6 @@ ties, and ground-truth pairs mirrored about a detection's box tie in IoU.
 """
 
 import io
-import itertools
 import math
 from dataclasses import replace
 from unittest import mock
@@ -136,9 +135,10 @@ def _scalar_state(config, batch):
                 for a_idx, (_, area) in enumerate(config.area_ranges):
                     for m_idx, max_dets in enumerate(config.max_dets_list):
                         verdicts, gt_count = greedy_cell(k_dets, k_gts, theta, max_dets, area)
-                        for conf, is_tp in verdicts:
-                            hist = want.tp_buckets if is_tp else want.fp_buckets
-                            hist[t_idx, k, a_idx, m_idx, bucket_index(conf, config.buckets)] += 1
+                        want.tp_totals[t_idx, k, a_idx, m_idx] += sum(tp for _, tp in verdicts)
+                    for conf, is_tp in verdicts:  # at the largest limit
+                        hist = want.tp_buckets if is_tp else want.fp_buckets
+                        hist[t_idx, k, a_idx, 0, bucket_index(conf, config.buckets)] += 1
                     if t_idx == 0:
                         want.gt_counts[k, a_idx] += gt_count
     return want
@@ -147,6 +147,7 @@ def _scalar_state(config, batch):
 def _assert_states_equal(got, want):
     np.testing.assert_array_equal(got.tp_buckets, want.tp_buckets)
     np.testing.assert_array_equal(got.fp_buckets, want.fp_buckets)
+    np.testing.assert_array_equal(got.tp_totals, want.tp_totals)
     np.testing.assert_array_equal(got.gt_counts, want.gt_counts)
 
 
@@ -373,25 +374,25 @@ def test_match_entries_equal_the_dense_state(config, batch):
     assert _bits(_finalize_entries(config, entries)) == _bits(finalize(state))
 
 
-def _per_verdict_entries(matches, buckets):
-    """(unique flat indices, counts) of the kept TP and of the kept FP
-    verdicts in a (theta, class, area, limit, bucket) grid, one
-    np.ravel_multi_index per verdict."""
+def _per_verdict_entries(matches):
+    """(unique flat indices, counts) of the TP and of the FP verdicts kept at
+    the largest limit, in the (theta, class, area, 1, bucket) histogram grid,
+    and of the TP verdicts kept by each limit, in the (theta, class, area,
+    limit) tp_totals grid; one np.ravel_multi_index per verdict."""
     config = matches.config
-    shape = (
-        len(config.iou_thresholds),
-        config.num_classes,
-        len(config.area_ranges),
-        len(config.max_dets_list),
-        buckets,
-    )
-    flat = ([], [])
+    cells = (len(config.iou_thresholds), config.num_classes, len(config.area_ranges))
+    hist_shape, totals_shape = (*cells, 1, config.buckets), (*cells, len(config.max_dets_list))
+    flat = ([], [], [])
     for j, rank in enumerate(matches.rank):
-        b = bucket_index(float(matches.confidences[j]), buckets)
+        b = bucket_index(float(matches.confidences[j]), config.buckets)
         kept_by = [m for m, limit in enumerate(config.max_dets_list) if rank < limit]
-        for m, t in itertools.product(kept_by, range(len(config.iou_thresholds))):
-            index = (t, matches.cls[j], matches.area[j], m, b)
-            flat[not matches.tp[t, j]].append(np.ravel_multi_index(index, shape))
+        for t in range(len(config.iou_thresholds)):
+            cell = (t, matches.cls[j], matches.area[j])
+            if rank < config.max_dets_list[-1]:
+                index = np.ravel_multi_index((*cell, 0, b), hist_shape)
+                flat[not matches.tp[t, j]].append(index)
+            if matches.tp[t, j]:
+                flat[2].extend(np.ravel_multi_index((*cell, m), totals_shape) for m in kept_by)
     return [np.unique(np.array(f, dtype=np.int64), return_counts=True) for f in flat]
 
 
@@ -412,15 +413,15 @@ def _per_verdict_entries(matches, buckets):
 def test_kept_indices_equal_a_per_verdict_ravel(config, batch):
     matches = match_batch(batch, config)
     entries = _match_entries(matches)
-    tp, fp = _per_verdict_entries(matches, config.buckets)
-    for got, want in ((entries["tp_buckets"], tp), (entries["fp_buckets"], fp)):
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
-    # At one bucket, a flat index is the oracle's (theta, class, area, limit) recall cell.
+    want = _per_verdict_entries(matches)
+    for name, (idx, counts) in zip(("tp_buckets", "fp_buckets", "tp_totals"), want):
+        np.testing.assert_array_equal(entries[name][0], idx)
+        np.testing.assert_array_equal(entries[name][1], counts)
+    # The oracle's recall totals are the same tp_totals.
     with mock.patch.object(oracle, "metric_report", wraps=oracle.metric_report) as reduce:
         exact_report(matches)
     tp_totals = reduce.call_args.args[2]
-    idx, counts = _per_verdict_entries(matches, 1)[0]
+    idx, counts = want[2]
     want = np.zeros(tp_totals.size, dtype=np.int64)
     want[idx] = counts
     np.testing.assert_array_equal(tp_totals.reshape(-1), want)

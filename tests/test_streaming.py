@@ -49,11 +49,13 @@ class TestNewState:
     def test_default_config_shape(self):
         cfg = EvalConfig(num_classes=2)
         state = new_state(cfg)
-        assert state.tp_buckets.shape == (10, 2, 4, 3, 10000)
+        assert state.tp_buckets.shape == (10, 2, 4, 1, 10000)
         assert state.fp_buckets.shape == state.tp_buckets.shape
+        assert state.tp_totals.shape == (10, 2, 4, 3)
         assert state.gt_counts.shape == (2, 4)
         assert not state.tp_buckets.any()
         assert not state.fp_buckets.any()
+        assert not state.tp_totals.any()
         assert not state.gt_counts.any()
 
     def test_single_bucket_state(self):
@@ -173,7 +175,7 @@ class TestUpdate:
         assert not state.gt_counts.any()
 
     @pytest.mark.parametrize("fits", [True, False])
-    @pytest.mark.parametrize("name", ["tp_buckets", "fp_buckets", "gt_counts"])
+    @pytest.mark.parametrize("name", ["tp_buckets", "fp_buckets", "tp_totals", "gt_counts"])
     def test_overflow_raises_and_leaves_the_state_unchanged(self, small_config, name, fits):
         # Two TPs share a bucket, as do two FPs, so each array's busiest
         # counter takes two increments from the batch: a base of 2**63 - 3
@@ -186,9 +188,12 @@ class TestUpdate:
         assert flat[at] == 2
         state = new_state(small_config)
         getattr(state, name).flat[at] = 2**63 - 3 + (0 if fits else 1)
-        buf = io.BytesIO()
-        save_state(state, buf)
-        state = load_state(io.BytesIO(buf.getvalue()))  # a valid snapshot's state
+        if not name.startswith("tp_"):
+            # A snapshot holds no TP count above its gt_counts, so only these
+            # two arrays can be pushed to the edge in a valid snapshot's state.
+            buf = io.BytesIO()
+            save_state(state, buf)
+            state = load_state(io.BytesIO(buf.getvalue()))
         before = state.copy()
         if fits:
             assert getattr(update(state, batch), name).flat[at] == 2**63 - 1
@@ -203,25 +208,20 @@ class TestUpdate:
         batches = [random_dataset(1, n_images=3), random_dataset(2, n_images=3)]
         s1 = update(update(new_state(small_config), batches[0]), batches[1])
         s2 = update(update(new_state(small_config), batches[1]), batches[0])
-        assert (s1.tp_buckets == s2.tp_buckets).all()
-        assert (s1.fp_buckets == s2.fp_buckets).all()
-        assert (s1.gt_counts == s2.gt_counts).all()
+        assert_states_equal(s1, s2)
 
 
 class TestMerge:
     def test_merge_with_zero_state_is_identity(self, small_config):
         s = update(new_state(small_config), random_dataset(3, n_images=4))
         merged = merge(new_state(small_config), s)
-        assert (merged.tp_buckets == s.tp_buckets).all()
-        assert (merged.gt_counts == s.gt_counts).all()
+        assert_states_equal(merged, s)
 
     def test_commutative(self, small_config):
         a = update(new_state(small_config), random_dataset(4, n_images=3))
         b = update(new_state(small_config), random_dataset(5, n_images=3))
         ab, ba = merge(a, b), merge(b, a)
-        assert (ab.tp_buckets == ba.tp_buckets).all()
-        assert (ab.fp_buckets == ba.fp_buckets).all()
-        assert (ab.gt_counts == ba.gt_counts).all()
+        assert_states_equal(ab, ba)
 
     def test_sharded_equals_single_pass(self, small_config):
         dataset = random_dataset(6, n_images=4)
@@ -230,9 +230,7 @@ class TestMerge:
             update(new_state(small_config), dataset[:2]),
             update(new_state(small_config), dataset[2:]),
         )
-        assert (whole.tp_buckets == sharded.tp_buckets).all()
-        assert (whole.fp_buckets == sharded.fp_buckets).all()
-        assert (whole.gt_counts == sharded.gt_counts).all()
+        assert_states_equal(whole, sharded)
         assert finalize(whole).as_dict() == finalize(sharded).as_dict()
 
     def test_config_mismatch_rejected(self):
@@ -247,7 +245,7 @@ class TestMerge:
         b = update(new_state(small_config), random_dataset(42, n_images=3))
         a_before, b_before = a.copy(), b.copy()
         merged = merge(a, b)
-        for name in ("tp_buckets", "fp_buckets", "gt_counts"):
+        for name in ("tp_buckets", "fp_buckets", "tp_totals", "gt_counts"):
             np.testing.assert_array_equal(getattr(a, name), getattr(a_before, name))
             np.testing.assert_array_equal(getattr(b, name), getattr(b_before, name))
             np.testing.assert_array_equal(
@@ -264,7 +262,7 @@ class TestMerge:
             (2**63 - 1, -1, False),
         ],
     )
-    @pytest.mark.parametrize("name", ["tp_buckets", "fp_buckets", "gt_counts"])
+    @pytest.mark.parametrize("name", ["tp_buckets", "fp_buckets", "tp_totals", "gt_counts"])
     def test_overflow_raises(self, name, x, y, overflows):
         # a wrapped sum would be a negative, or after four 2**62 terms a zero, counter
         config = EvalConfig(num_classes=1, buckets=4, iou_thresholds=(0.5,), max_dets_list=(10,))
@@ -408,11 +406,7 @@ class TestSnapshot:
         buf = io.BytesIO()
         save_state(state, buf)
         buf.seek(0)
-        loaded = load_state(buf)
-        assert loaded.config.to_dict() == state.config.to_dict()
-        assert (loaded.tp_buckets == state.tp_buckets).all()
-        assert (loaded.fp_buckets == state.fp_buckets).all()
-        assert (loaded.gt_counts == state.gt_counts).all()
+        assert_states_equal(load_state(buf), state)
 
     def test_canonical_bytes(self, small_config):
         state = update(new_state(small_config), random_dataset(13, n_images=2))
@@ -444,9 +438,9 @@ class TestSnapshot:
         ])
         buf = io.BytesIO()
         save_state(state, buf)
-        assert len(buf.getvalue()) == 1621
+        assert len(buf.getvalue()) == 1760
         assert hashlib.sha256(buf.getvalue()).hexdigest() == (
-            "6aa528f33e4d72c3ed9fa73bbf7b1fb68fa4a10a4a538d49729c63ac2bbd9926"
+            "3f0a6d07a4bf484835de1b380771a48696caed24a6f406e0b9fdf80486b3735c"
         )
 
     def test_round_trip_int_valued_config(self):
@@ -515,7 +509,7 @@ class SevenByteStream(io.RawIOBase):
 
 def assert_states_equal(got, want):
     assert got.config.to_dict() == want.config.to_dict()
-    for name in ("tp_buckets", "fp_buckets", "gt_counts"):
+    for name in ("tp_buckets", "fp_buckets", "tp_totals", "gt_counts"):
         assert getattr(got, name).dtype == np.int64
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
@@ -535,20 +529,28 @@ SNAPSHOT_CONFIGS = (
 
 @st.composite
 def states(draw, config, high=2**61):
-    """A state of config: all zero, one array full, or a random few counters
-    per array, with counts below high; below 2**61, four states still add
-    exactly."""
+    """A state of config that a snapshot can hold: all zero, one array full,
+    or a random few counters per array, with counts below high; below 2**61,
+    four states still add exactly. A cell's TP counts sum into tp_totals and
+    gt_counts, so each is below high over the most a cell can hold; tp_totals
+    then rises at random to that sum, and gt_counts is raised to it."""
     state = new_state(config)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fill = draw(st.sampled_from(["zero", "full", "sparse"]))
     arrays = [a.reshape(-1) for a in (state.tp_buckets, state.fp_buckets, state.gt_counts)]
+    tp_high = {"full": high // config.buckets, "sparse": high // 64}.get(fill)
     if fill == "full":
         flat = draw(st.sampled_from([a for a in arrays if a.size <= 10_000]))
-        flat[:] = rng.integers(1, high, size=flat.size)
+        flat[:] = rng.integers(1, tp_high if flat is arrays[0] else high, size=flat.size)
     elif fill == "sparse":
         for flat in arrays:
             k = draw(st.integers(0, min(flat.size, 64)))
-            flat[rng.choice(flat.size, size=k, replace=False)] = rng.integers(1, high, size=k)
+            counts = rng.integers(1, tp_high if flat is arrays[0] else high, size=k)
+            flat[rng.choice(flat.size, size=k, replace=False)] = counts
+    top = state.tp_buckets.sum(axis=(-2, -1))[..., None]
+    lower = rng.integers(0, top + 1, size=(*top.shape[:-1], len(config.max_dets_list) - 1))
+    state.tp_totals[...] = np.sort(np.concatenate((lower, top), axis=-1), axis=-1)
+    state.gt_counts[...] = np.maximum(state.gt_counts, top.max(axis=(0, -1)))
     return state
 
 
@@ -623,7 +625,7 @@ def sharded_snapshots(draw, config):
     blobs = []
     for shard in range(n_shards):
         state = update(new_state(config), [p for p, o in zip(dataset, owner) if o == shard])
-        for name in ("tp_buckets", "fp_buckets", "gt_counts"):
+        for name in ("tp_buckets", "fp_buckets", "tp_totals", "gt_counts"):
             getattr(state, name)[...] *= scale
         blobs.append(_snapshot(state))
     return blobs
@@ -717,9 +719,11 @@ class TestLoadStateRejects:
         return err
 
     def test_raw_snapshot_loads(self):
-        state = self.load(*self.raw(tp_buckets=([1, 3], [2, 5]), gt_counts=([0], [7])))
+        entries = {"tp_buckets": ([1, 3], [2, 5]), "tp_totals": ([0], [7])}
+        state = self.load(*self.raw(**entries, gt_counts=([0], [7])))
         assert state.tp_buckets.ravel().tolist() == [0, 2, 0, 5]
         assert not state.fp_buckets.any()
+        assert state.tp_totals.ravel().tolist() == [7]
         assert state.gt_counts.tolist() == [[7]]
 
     @pytest.mark.parametrize(
@@ -732,10 +736,10 @@ class TestLoadStateRejects:
             self.load(header, body)
 
     def test_grid_size_past_int64(self, tmp_path, capsys):
-        # 10 * 10**17 * 4 * 3 * 10000 counters: the flat size wraps in int64
+        # 10 * 10**17 * 4 * 1 * 10000 counters: the flat size wraps in int64
         config = EvalConfig(num_classes=10**17)
-        data = _header(config, [1, 0, 0]) + np.array([5, 1], "<i8").tobytes()
-        error = "snapshot array tp_buckets: its 120000000000000000000000 counters do not fit"
+        data = _header(config, [1, 0, 0, 0]) + np.array([5, 1], "<i8").tobytes()
+        error = "snapshot array tp_buckets: its 40000000000000000000000 counters do not fit"
         with pytest.raises(ValueError, match=error):
             _read_entries(io.BytesIO(data))
         path, out = tmp_path / "huge.state", tmp_path / "merged.state"
@@ -764,11 +768,13 @@ class TestLoadStateRejects:
             self.load(header, body)
 
     def test_dense_v1_snapshot(self):
-        header, body = self.snapshot()
-        header["format"] = "cocostream-state/1"
-        error = re.escape("unsupported snapshot format: 'cocostream-state/1'")
-        with pytest.raises(ValueError, match=error):
-            self.load(header, body)
+        # and format 2, whose histograms had a max-dets axis and no tp_totals
+        for version in ("cocostream-state/1", "cocostream-state/2"):
+            header, body = self.snapshot()
+            header["format"] = version
+            error = re.escape(f"unsupported snapshot format: '{version}'")
+            with pytest.raises(ValueError, match=error):
+                self.load(header, body)
 
     @pytest.mark.parametrize("stream", [io.BytesIO, SevenByteStream])
     @pytest.mark.parametrize("keep, block", [(12, "indices"), (20, "counts")])
@@ -785,12 +791,25 @@ class TestLoadStateRejects:
             ({"gt_counts": ([0], [0])}, "stored zero counter in array gt_counts"),
             ({"gt_counts": ([0], [-3])}, "negative counter in snapshot array gt_counts"),
             ({"gt_counts": ([1], [1])}, "gt_counts: indices must be strictly increasing"),
+            (  # no tp_totals, as in format 2, which had no such array
+                {"gt_counts": ([0], [7])},
+                "tp_totals: its last max-dets column is not the sum of tp_buckets",
+            ),
+            (  # the int64 sum of four 2**62 counts wraps to exactly 0
+                {"tp_buckets": ([0, 1, 2, 3], [2**62] * 4), "gt_counts": ([0], [1])},
+                "tp_totals: its last max-dets column is not the sum of tp_buckets",
+            ),
+            (
+                {"tp_totals": ([0], [7]), "gt_counts": ([0], [2])},
+                "tp_totals: a count exceeds its gt_counts",
+            ),
         ],
     )
     def test_corrupt_last_array_leaves_into_unchanged(self, tmp_path, capsys, entries, error):
         dets = [make_det(), make_det(confidence=0.1)]
         acc = update(new_state(self.CONFIG), [(dets, [make_gt()])])
-        header, body = self.raw(tp_buckets=([1, 3], [2, 5]), fp_buckets=([0], [1]), **entries)
+        entries = {"tp_buckets": ([1, 3], [2, 5]), "fp_buckets": ([0], [1]), **entries}
+        header, body = self.raw(**entries)
         with pytest.raises(ValueError, match=error):
             _read_entries(io.BytesIO(self.data(header, body)))
         assert error in self.merge_fails(tmp_path, capsys, acc, header, body)
@@ -841,7 +860,7 @@ class TestLoadStateRejects:
 
     def test_array_shape_not_matching_config(self):
         header, body = self.snapshot()
-        header["arrays"][2]["shape"] = [1, 2]  # gt_counts is (1, 1)
+        header["arrays"][3]["shape"] = [1, 2]  # gt_counts is (1, 1)
         with pytest.raises(ValueError, match=r"do not match.*expected b'.*\[1, 1\]\}.*', got b'.*\[1, 2\]\}"):
             self.load(header, body + bytes(8))
 
