@@ -61,20 +61,6 @@ def _count(text: str, low: int = 1) -> int:
     return n
 
 
-def _fraction(text: str) -> float:
-    x = float(text)
-    if not 0.0 <= x < 1.0:
-        raise ValueError("must be in [0, 1)")
-    return x
-
-
-def _scale(text: str) -> float:
-    x = float(text)
-    if not 0.0 < x < math.inf:
-        raise ValueError("must be positive and finite")
-    return x
-
-
 def _area_range(text: str) -> tuple[str, AreaRange]:
     """Parse 'name:min:max'; an empty max means unbounded."""
     if text.count(":") != 2:
@@ -88,6 +74,14 @@ def _config_field(field: str, parse):
     it sets, so a range or order error names the flag."""
     return _flag_type(
         lambda text: getattr(EvalConfig(num_classes=1, **{field: parse(text)}), field)
+    )
+
+
+def _params_field(*names: str):
+    """A type= callable that checks a float as the PerturbationParams
+    fields it sets (a scale flag sets both), so a range error names the flag."""
+    return _flag_type(
+        lambda text: getattr(PerturbationParams(**dict.fromkeys(names, float(text))), names[0])
     )
 
 
@@ -196,7 +190,7 @@ def _sum_snapshots(paths) -> tuple[EvalConfig, dict]:
                 raise ValueError(f"{exc} (reading {path})") from None
         if total is None:
             config, total = path_config, entries
-        elif path_config.to_dict() != config.to_dict():
+        elif path_config != config:
             raise MergeError(f"config mismatch between {prev_path} and {path}")
         else:
             try:
@@ -315,9 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--repeats", type=_flag_type(_count), default=10)
     p_bench.add_argument("--seed", type=_flag_type(lambda t: _count(t, low=0)), default=0)
-    p_bench.add_argument("--translate-fraction", type=_flag_type(_fraction), default=0.2)
-    p_bench.add_argument("--scale-low", type=_flag_type(_scale), default=0.8)
-    p_bench.add_argument("--scale-high", type=_flag_type(_scale), default=1.2)
+    p_bench.add_argument(
+        "--translate-fraction", type=_params_field("translate_fraction"), default=0.2
+    )
+    scale = _params_field("scale_low", "scale_high")
+    p_bench.add_argument("--scale-low", type=scale, default=0.8)
+    p_bench.add_argument("--scale-high", type=scale, default=1.2)
     p_bench.add_argument("--output", default=None, help="rows CSV path (default stdout)")
     p_bench.add_argument(
         "--summary-output", default=None,

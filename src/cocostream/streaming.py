@@ -221,7 +221,7 @@ def _join(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def merge(a: BucketedState, b: BucketedState) -> BucketedState:
     """Elementwise sum of two states with identical configs, as a new state;
     a and b are unchanged. Raises ValueError if a counter overflows int64."""
-    if a.config.to_dict() != b.config.to_dict():
+    if a.config != b.config:
         raise MergeError("cannot merge states with differing configs")
     return BucketedState(
         a.config,
@@ -263,29 +263,34 @@ def cell_aps(config: EvalConfig, gt_counts, cells, tp, fp) -> np.ndarray:
 
     PR point i belongs to cell cells[i], in (theta, class, area) ravel
     order, and counts tp[i] TPs and fp[i] FPs: one point per detection
-    (exact) or per occupied bucket (streaming). cells is sorted, and within
-    a cell the points run in descending confidence.
+    (exact) or per occupied bucket (streaming). Each cell's points form one
+    run, in descending confidence; the runs may come in any cell order.
 
     Each AP equals interpolate_ap of the cell's curve, bit for bit, but all
     cells are reduced together: a fixed number of array passes over the
     points, then one row sum per distinct count of reached thresholds.
+    Raises ValueError, naming the cell, if a cell's TP + FP total is not
+    below 2**63.
     """
     thresholds = np.asarray(config.recall_thresholds, dtype=float)
     gammas = np.broadcast_to(gt_counts, (len(config.iou_thresholds), *gt_counts.shape)).ravel()
     ap = np.zeros(len(gammas))
-    bounds = np.searchsorted(cells, np.arange(len(gammas) + 1))
-    rows = np.flatnonzero(bounds[1:] > bounds[:-1])  # cells that have points
-    starts, sizes = bounds[rows], bounds[rows + 1] - bounds[rows]
+    starts = np.flatnonzero(np.diff(cells, prepend=-1))
+    sizes = np.diff(starts, append=len(cells))
+    rows, last = cells[starts], starts + sizes - 1  # cells that have points
 
     # Within-cell cumulative counts: one global cumsum, less the count
-    # before the cell's first point. Recall and precision are the same
-    # float operations as interpolate_ap's inputs. A cell with no ground
-    # truth divides by 1 instead, and reaches no threshold below.
+    # before the cell's first point; exact modulo 2**64, so exact for cell
+    # totals below 2**63. Recall and precision are the same float
+    # operations as interpolate_ap's inputs. A cell with no ground truth
+    # divides by 1 instead, and reaches no threshold below.
     ctp, cfp = np.cumsum(tp), np.cumsum(fp)
     ctp -= np.repeat(ctp[starts] - tp[starts], sizes)
     cfp -= np.repeat(cfp[starts] - fp[starts], sizes)
     recall = ctp / np.repeat(np.maximum(gammas[rows], 1), sizes)
     cfp += ctp
+    approx = np.add.reduceat(tp, starts, dtype=float) + np.add.reduceat(fp, starts, dtype=float)
+    _check_totals(config, rows, cfp[last], approx)
     precision = ctp / cfp
     del ctp, cfp
 
@@ -296,7 +301,7 @@ def cell_aps(config: EvalConfig, gt_counts, cells, tp, fp) -> np.ndarray:
     width = len(thresholds) + 1
     k = np.searchsorted(thresholds, recall, side="right")
     del recall
-    reached = np.where(gammas[rows] > 0, k[starts + sizes - 1], 0)
+    reached = np.where(gammas[rows] > 0, k[last], 0)
     k += np.repeat(np.arange(len(rows)) * width, sizes)  # flat (row, k) key
     run = np.flatnonzero(np.diff(k, prepend=-1))
     env = np.zeros((len(rows), width))
@@ -316,6 +321,20 @@ def cell_aps(config: EvalConfig, gt_counts, cells, tp, fp) -> np.ndarray:
         total[lo:hi] = env[lo:hi, :n].sum(axis=1)
     ap[rows[order]] = total / len(thresholds)
     return ap.reshape(-1, *gt_counts.shape)
+
+
+def _check_totals(config: EvalConfig, rows, totals, approx) -> None:
+    """ValueError naming the first of rows, flat (theta, class, area) cells,
+    whose TP + FP total reaches 2**63. totals holds the int64 totals, exact
+    modulo 2**64, so read as uint64 they are exact below 2**64; approx holds
+    their float64 sums, which lie past 1.5 * 2**63 for any total past 2**64."""
+    over = np.flatnonzero((totals.view(np.uint64) >= 2**63) | (approx >= 3.0 * 2**62))
+    if over.size:
+        t, k, a = np.unravel_index(rows[over[0]], _array_shapes(config)["tp_totals"][:-1])
+        raise ValueError(
+            f"cell (IoU {config.iou_thresholds[t]}, class {k}, area {config.area_ranges[a][0]}):"
+            " its TP + FP count is not below 2**63"
+        )
 
 
 def metric_report(config: EvalConfig, gt_counts, tp_totals, ap) -> MetricReport:
@@ -372,14 +391,13 @@ def finalize(state: BucketedState) -> MetricReport:
     Recall metrics are exact (total TP over total ground truths); MaP uses
     the bucket-granularity PR curve and is approximate up to bucket width.
     Only the occupied buckets are reduced: an empty bucket repeats the PR
-    point before it.
+    point before it. Their flat indices, scanned forward and reversed, put
+    each cell's buckets in one run, highest first.
     """
     cfg = state.config
-    # (cells, buckets) views, highest bucket first.
-    tp = state.tp_buckets[..., ::-1].reshape(-1, cfg.buckets)
-    fp = state.fp_buckets[..., ::-1].reshape(-1, cfg.buckets)
-    cells, b = np.divmod(np.flatnonzero(np.logical_or(tp, fp)), cfg.buckets)
-    ap = cell_aps(cfg, state.gt_counts, cells, tp[cells, b], fp[cells, b])
+    flat = np.flatnonzero(np.logical_or(state.tp_buckets, state.fp_buckets))[::-1]
+    tp, fp = np.take(state.tp_buckets, flat), np.take(state.fp_buckets, flat)
+    ap = cell_aps(cfg, state.gt_counts, flat // cfg.buckets, tp, fp)
     return metric_report(cfg, state.gt_counts, state.tp_totals, ap)
 
 
@@ -388,17 +406,14 @@ def _finalize_entries(config: EvalConfig, entries: dict) -> MetricReport:
     indices, counts), as _read_entries returns them, with no dense state;
     the report is bit-identical to finalize's.
 
-    The PR points are the union of the occupied TP and FP buckets, keyed by
-    cell and then by bucket, highest first.
+    The PR points are the union of the occupied TP and FP buckets: their
+    increasing flat indices, reversed, so each cell's buckets form one run,
+    highest first.
     """
-    buckets, shapes = config.buckets, _array_shapes(config)
+    shapes = _array_shapes(config)
     gt_counts = _dense(shapes["gt_counts"], entries["gt_counts"])
-    points = []
-    for idx, values in (entries["tp_buckets"], entries["fp_buckets"]):
-        cell, b = np.divmod(idx, buckets)
-        points.append((cell * buckets + (buckets - 1 - b), values))
-    keys, tp, fp = _join(*points)
-    ap = cell_aps(config, gt_counts, keys // buckets, tp, fp)
+    flat, tp, fp = _join(entries["tp_buckets"], entries["fp_buckets"])
+    ap = cell_aps(config, gt_counts, flat[::-1] // config.buckets, tp[::-1], fp[::-1])
     return metric_report(config, gt_counts, _dense(shapes["tp_totals"], entries["tp_totals"]), ap)
 
 

@@ -42,6 +42,7 @@ CORRUPT = "tests/test_streaming.py::TestLoadStateRejects::" + (
 )
 CLI_DAMAGE = "tests/test_cli.py::TestBadInputExitsCleanly::test_bad_snapshot_error_names_its_file"
 MANY_CLASSES = DIFF + "test_many_class_batches_equal_the_scalar_reference"
+STREAMING = "tests/test_streaming.py::"
 
 MUTANTS = (
     Mutant(
@@ -110,8 +111,36 @@ MUTANTS = (
         "streaming.py",
         "total[lo:hi] = env[lo:hi, :n].sum(axis=1)",
         "total[lo:hi] = env[lo:hi].sum(axis=1)",
-        ("tests/test_streaming.py::test_cell_aps_is_interpolate_ap_per_cell_bit_for_bit",
+        (STREAMING + "test_cell_aps_is_interpolate_ap_per_cell_bit_for_bit",
          DIFF + "test_finalize_equals_dense_reference_on_the_default_grid"),
+    ),
+    Mutant(
+        "finalize runs in increasing bucket order",
+        "streaming.py",
+        "np.logical_or(state.tp_buckets, state.fp_buckets))[::-1]",
+        "np.logical_or(state.tp_buckets, state.fp_buckets))",
+        (DIFF + "test_finalize_equals_dense_reference",),
+    ),
+    Mutant(
+        "_finalize_entries runs in increasing bucket order",
+        "streaming.py",
+        "flat[::-1] // config.buckets, tp[::-1], fp[::-1]",
+        "flat // config.buckets, tp, fp",
+        (STREAMING + "test_finalize_entries_of_a_snapshot_equals_finalize",),
+    ),
+    Mutant(
+        "cell_aps last run one point short",
+        "streaming.py",
+        "sizes = np.diff(starts, append=len(cells))",
+        "sizes = np.diff(starts, append=len(cells) - 1)",
+        (STREAMING + "test_cell_aps_is_interpolate_ap_per_cell_bit_for_bit",),
+    ),
+    Mutant(
+        "cell total guard lets exactly 2**63 through",
+        "streaming.py",
+        "totals.view(np.uint64) >= 2**63",
+        "totals.view(np.uint64) > 2**63",
+        (STREAMING + "TestCellTotalBound::test_total_past_int64_names_the_cell[exactly-2**63]",),
     ),
     Mutant(
         "histogram index taken mod 2**32",

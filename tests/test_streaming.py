@@ -302,7 +302,7 @@ class TestInterpolateAp:
 @st.composite
 def pr_points(draw):
     """cell_aps arguments: a small grid whose cells hold 0-6 PR points each,
-    in the exact form (tp bool, fp = ~tp) or the streaming one (int64
+    one run per cell, the runs in shuffled cell order, in the exact form (tp bool, fp = ~tp) or the streaming one (int64
     counts up to 2**40, scaled by a common factor); ground-truth counts
     include 0 and the values 1, 4 and 100, whose recalls land exactly on
     thresholds i / 100."""
@@ -330,7 +330,7 @@ def pr_points(draw):
     gt_counts = np.array(draw(st.lists(gamma, min_size=n_gt, max_size=n_gt))).reshape(-1, 2)
     n_cells = len(config.iou_thresholds) * gt_counts.size
     sizes = draw(st.lists(st.integers(0, 6), min_size=n_cells, max_size=n_cells))
-    cells = np.repeat(np.arange(n_cells), sizes)
+    cells = np.repeat(draw(st.permutations(range(n_cells))), sizes).astype(np.int64)
     n = len(cells)
     if draw(st.booleans()):
         tp = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
@@ -893,3 +893,46 @@ class TestLoadStateRejects:
     def test_header_not_an_object(self):
         with pytest.raises(ValueError, match="not a JSON object"):
             load_state(io.BytesIO(b"[1, 2]\n"))
+
+
+class TestCellTotalBound:
+    """A cell whose TP + FP total reaches 2**63, past what its int64
+    cumulative sums hold, is an error naming the cell, not a wrong report."""
+
+    CONFIG = TestLoadStateRejects.CONFIG  # 1 class, 4 buckets, 1 limit
+    ERROR = "cell (IoU 0.5, class 0, area all): its TP + FP count is not below 2**63"
+
+    def snapshot(self, fp_counts) -> bytes:
+        """One TP at confidence 0.1 (bucket 0) and one ground truth, under
+        FP buckets holding fp_counts and ending at the top bucket."""
+        one = np.array([0]), np.array([1])
+        fp = np.arange(4 - len(fp_counts), 4), np.array(fp_counts)
+        buf = io.BytesIO()
+        entries = {"tp_buckets": one, "fp_buckets": fp, "tp_totals": one, "gt_counts": one}
+        _write_entries(buf, self.CONFIG, entries)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize(
+        "fp_counts",
+        [[2**62, 2**62], [2**62] * 4, [2**62, 2**62 - 1]],
+        ids=["two-2**62", "four-2**62-wrap-to-0", "exactly-2**63"],
+    )
+    def test_total_past_int64_names_the_cell(self, tmp_path, capsys, fp_counts):
+        data = self.snapshot(fp_counts)
+        with pytest.raises(ValueError, match=re.escape(self.ERROR)):
+            finalize(load_state(io.BytesIO(data)))
+        path = tmp_path / "big.state"
+        path.write_bytes(data)
+        assert main(["report", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert self.ERROR in err and "Traceback" not in err and not out
+
+    def test_total_just_below_2_63_reports(self, tmp_path, capsys):
+        data = self.snapshot([2**62, 2**62 - 2])
+        report = finalize(load_state(io.BytesIO(data)))
+        assert report.recall_maxdets_100 == 1.0
+        assert report.map_standard == 1 / (2**63 - 1)
+        path = tmp_path / "big.state"
+        path.write_bytes(data)
+        assert main(["report", str(path), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == report.as_dict()
