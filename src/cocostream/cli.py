@@ -9,6 +9,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import astuple, fields
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -69,47 +70,44 @@ def _area_range(text: str) -> tuple[str, AreaRange]:
     return name, AreaRange(float(lo), math.inf if hi == "" else float(hi))
 
 
-def _config_field(field: str, parse):
-    """A type= callable that also checks the value as the EvalConfig field
-    it sets, so a range or order error names the flag."""
+def _field_flag(kind, parse, *names: str, **fixed):
+    """A type= callable that parses a flag's value and checks it by building
+    the dataclass kind with the value as each field in names (a scale flag
+    sets both) and fixed as other fields, so a range or order error names
+    the flag."""
     return _flag_type(
-        lambda text: getattr(EvalConfig(num_classes=1, **{field: parse(text)}), field)
-    )
-
-
-def _params_field(*names: str):
-    """A type= callable that checks a float as the PerturbationParams
-    fields it sets (a scale flag sets both), so a range error names the flag."""
-    return _flag_type(
-        lambda text: getattr(PerturbationParams(**dict.fromkeys(names, float(text))), names[0])
+        lambda text: getattr(kind(**fixed, **dict.fromkeys(names, parse(text))), names[0])
     )
 
 
 def _build_config(args: argparse.Namespace, num_classes: int) -> EvalConfig:
+    if num_classes == 0:
+        raise ValueError(f"{args.ground_truth}: annotation document 'categories' section is empty")
     flags = ("buckets", "iou_thresholds", "recall_thresholds", "max_dets_list", "area_ranges")
     overrides = {f: getattr(args, f) for f in flags if getattr(args, f) is not None}
     return EvalConfig(num_classes=num_classes, **overrides)
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    field = partial(_field_flag, EvalConfig, num_classes=1)
     p.add_argument(
-        "--buckets", type=_config_field("buckets", int), help="confidence buckets (default 10000)"
+        "--buckets", type=field(int, "buckets"), help="confidence buckets (default 10000)"
     )
     p.add_argument(
-        "--iou-thresholds", type=_config_field("iou_thresholds", _list), metavar="T1,T2,...",
+        "--iou-thresholds", type=field(_list, "iou_thresholds"), metavar="T1,T2,...",
         help="comma-separated IoU thresholds (default 0.50:0.05:0.95)",
     )
     p.add_argument(
-        "--recall-thresholds", type=_config_field("recall_thresholds", _list), metavar="R1,R2,...",
+        "--recall-thresholds", type=field(_list, "recall_thresholds"), metavar="R1,R2,...",
         help="comma-separated recall thresholds (default 0.00:0.01:1.00)",
     )
     p.add_argument(
-        "--max-dets", type=_config_field("max_dets_list", lambda t: _list(t, int)),
+        "--max-dets", type=field(lambda t: _list(t, int), "max_dets_list"),
         dest="max_dets_list", metavar="M1,M2,...",
         help="comma-separated max-detection limits (default 1,10,100)",
     )
     p.add_argument(
-        "--area-ranges", type=_config_field("area_ranges", lambda t: _list(t, _area_range)),
+        "--area-ranges", type=field(lambda t: _list(t, _area_range), "area_ranges"),
         metavar="name:min:max,...",
         help="area ranges as name:min:max (empty max = unbounded); "
         "default all/small/medium/large COCO ranges",
@@ -160,8 +158,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if args.mode == "exact" and args.state_out:
         raise ValueError("--state-out needs --mode streaming; exact mode keeps no state")
     image_ids, category_ids, gts = _read_annotations(args.ground_truth)
-    dets = _read_results(args.detections, image_ids, category_ids)
     config = _build_config(args, num_classes=len(category_ids))
+    dets = _read_results(args.detections, image_ids, category_ids)
     matches = _match_columns(config, len(image_ids), dets, gts)
     if args.mode == "exact":
         report = exact_report(matches)
@@ -309,10 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument("--repeats", type=_flag_type(_count), default=10)
     p_bench.add_argument("--seed", type=_flag_type(lambda t: _count(t, low=0)), default=0)
-    p_bench.add_argument(
-        "--translate-fraction", type=_params_field("translate_fraction"), default=0.2
-    )
-    scale = _params_field("scale_low", "scale_high")
+    params = partial(_field_flag, PerturbationParams, float)
+    p_bench.add_argument("--translate-fraction", type=params("translate_fraction"), default=0.2)
+    scale = params("scale_low", "scale_high")
     p_bench.add_argument("--scale-low", type=scale, default=0.8)
     p_bench.add_argument("--scale-high", type=scale, default=1.2)
     p_bench.add_argument("--output", default=None, help="rows CSV path (default stdout)")

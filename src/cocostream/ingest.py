@@ -5,8 +5,9 @@ Annotation documents carry images/annotations/categories sections with
 {image_id, category_id, bbox, score}. Boxes are converted to corner format
 on load and category ids are remapped to contiguous class indices.
 
-_read_annotations and _read_results read documents into matching._Columns
-with vectorised checks, and run the per-row checks at a rejection for its
+_read_annotations and _read_results read documents into matching._Columns:
+image and category ids one entry at a time, and annotation and results rows
+with vectorised checks, running the per-row checks at a rejection for its
 located error; load_ground_truth and load_detections build Datasets from them.
 """
 
@@ -164,12 +165,8 @@ def _floats(values: list) -> np.ndarray:
 
 
 def _section_ids(entries: list, section: str) -> list[int]:
-    """The 'id' of each images or categories entry, read as _rows reads rows."""
-    with suppress(KeyError, ValueError, OverflowError):
-        values = [e["id"] for e in _typed(entries, dict)]
-        ids = _floats(values)
-        _sure((ids == np.floor(ids)).all() and len(set(values)) == len(values))
-        return list(map(int, values))
+    """The 'id' of each images or categories entry, read by _id one entry at
+    a time, so an error names its entry; a repeated image id is a ParseError."""
     keys, seen = [], set()
     for i, entry in enumerate(entries):
         keys.append(_id(entry, "id", f"{section}[{i}]"))

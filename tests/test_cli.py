@@ -384,6 +384,21 @@ class TestBadInputExitsCleanly:
         assert "error:" in err and "results[1]: missing 'bbox'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["evaluate", "synth-bench"])
+    @pytest.mark.parametrize("results", [[], [{"image_id": 1, "category_id": 1,
+                                                "bbox": [0, 0, 1, 1], "score": 0.5}]])
+    def test_empty_categories_names_file_and_section(self, tmp_path, capsys, command, results):
+        # reading accepts an empty section, but a report needs a class
+        gt, det, out = tmp_path / "gt.json", tmp_path / "det.json", tmp_path / "out.csv"
+        gt.write_text(json.dumps({"images": [{"id": 1}], "annotations": [], "categories": []}))
+        det.write_text(json.dumps(results))
+        argv = [det] if command == "evaluate" else ["--image-counts", 1]
+        assert run_cli(command, gt, *argv, "--output", out) == 2
+        err = capsys.readouterr().err
+        assert f"error: {gt}: annotation document 'categories' section is empty" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [

@@ -51,7 +51,7 @@ def per_row_only():
 @contextmanager
 def vectorised_only():
     """Any per-row read fails the test: a valid document must not need one."""
-    with mock.patch.object(ingest, "_id", side_effect=AssertionError("per-row read")):
+    with mock.patch.object(ingest, "_per_row", side_effect=AssertionError("per-row read")):
         yield
 
 
