@@ -419,44 +419,42 @@ def _finalize_entries(config: EvalConfig, entries: dict) -> MetricReport:
 
 # -- state snapshot serialization -----------------------------------------
 #
-# Layout: one JSON header line, byte for byte as _header builds it (format,
-# config, and each array's name, shape, dtype and non-zero count n, sorted
-# keys), then for each array in header order its n flat C-order indices,
-# strictly increasing, followed by their n counts, each >= 1; all
-# little-endian int64. Only non-zero counters are stored and equal states
+# Layout: one JSON header line, byte for byte as _header builds it (format
+# and config, sorted keys), then for each array in _array_shapes order its
+# number n of non-zero counters, its n flat C-order indices, strictly
+# increasing, and their n counts, each >= 1; all little-endian int64. The
+# config alone fixes each array's name and shape, so equal configs give
+# equal header lines. Only non-zero counters are stored and equal states
 # give equal bytes, so merge outputs are grouping-independent and
 # single-input merges are copies.
 
-_MAGIC = "cocostream-state/3"
+_MAGIC = "cocostream-state/4"
 
 
-def _header(config: EvalConfig, nonzero: Sequence) -> bytes:
-    """The snapshot's header line, the only one _write_entries writes and
-    _read_entries accepts; nonzero holds each array's count, in snapshot order."""
-    arrays = [
-        {"name": name, "shape": list(shape), "dtype": "<i8", "nonzero": n}
-        for (name, shape), n in zip(_array_shapes(config).items(), nonzero)
-    ]
-    header = {"format": _MAGIC, "config": config.to_dict(), "arrays": arrays}
+def _header(config: EvalConfig) -> bytes:
+    """The snapshot's header line for config, the only one _write_entries
+    writes and _read_entries accepts."""
+    header = {"format": _MAGIC, "config": config.to_dict()}
     return json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
 
 
 def save_state(state: BucketedState, fp: BinaryIO) -> None:
-    """Write the state's canonical snapshot (format cocostream-state/3):
-    only its non-zero counters, so equal states give equal bytes.
-    load_state reads it back."""
+    """Write the state's canonical snapshot (format cocostream-state/4): the
+    config's header line, then per array only its non-zero counters, so
+    equal states give equal bytes. load_state reads it back."""
     entries = {name: _nonzero(getattr(state, name)) for name in _array_shapes(state.config)}
     _write_entries(fp, state.config, entries)
 
 
 def _write_entries(fp: BinaryIO, config: EvalConfig, entries: dict) -> None:
     """Write the snapshot of config whose arrays hold entries[name] = (flat
-    indices, counts), given in snapshot order with the indices increasing."""
+    indices, counts), given in snapshot order with the indices increasing:
+    per array, the number of entries, then the indices, then the counts."""
     stalled = "snapshot write made no progress"
-    _transfer(fp.write, _header(config, [len(idx) for idx, _ in entries.values()]), stalled)
+    _transfer(fp.write, _header(config), stalled)
     for idx, counts in entries.values():
-        _transfer(fp.write, idx.astype("<i8", copy=False), stalled)
-        _transfer(fp.write, counts.astype("<i8", copy=False), stalled)
+        for block in (np.array([len(idx)]), idx, counts):
+            _transfer(fp.write, block.astype("<i8", copy=False), stalled)
 
 
 def _transfer(io_call, buffer, error: str) -> None:
@@ -507,12 +505,11 @@ def _read_entries(fp: BinaryIO) -> tuple[EvalConfig, dict[str, tuple[np.ndarray,
         raise ValueError(f"unsupported snapshot format: {header.get('format')!r}")
     try:
         config = EvalConfig.from_dict(header["config"])
-        nonzero = [spec["nonzero"] for spec in header["arrays"]]
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed snapshot header: {exc!r}") from exc
     shapes = _array_shapes(config)
-    expected = _header(config, nonzero)
-    if len(nonzero) != len(shapes) or header_line != expected:
+    expected = _header(config)
+    if header_line != expected:
         at = next(
             (i for i, (a, b) in enumerate(zip(header_line, expected)) if a != b),
             min(len(header_line), len(expected)),
@@ -520,16 +517,17 @@ def _read_entries(fp: BinaryIO) -> tuple[EvalConfig, dict[str, tuple[np.ndarray,
         near = slice(max(at - 30, 0), at + 30)
         raise ValueError(
             "snapshot header and its config do not match: it is not the line"
-            f" save_state writes for that config and these counts; near byte {at},"
+            f" save_state writes for that config; near byte {at},"
             f" expected {expected[near]!r}, got {header_line[near]!r}"
         )
     entries = {}
-    for (name, shape), n in zip(shapes.items(), nonzero):
+    for name, shape in shapes.items():
         size = _counters(f"snapshot array {name}", shape)
-        if not (isinstance(n, int) and not isinstance(n, bool) and 0 <= n <= size):
-            raise ValueError(
-                f"snapshot array {name}: nonzero must be an int in [0, {size}], got {n!r}"
-            )
+        n = np.empty(1, dtype="<i8")
+        _transfer(fp.readinto, n, f"truncated snapshot while reading {name} count")
+        n = int(n[0])
+        if not 0 <= n <= size:
+            raise ValueError(f"snapshot array {name}: entry count {n} is not in [0, {size}]")
         idx, counts = np.empty(n, dtype="<i8"), np.empty(n, dtype="<i8")
         _transfer(fp.readinto, idx, f"truncated snapshot while reading {name} indices")
         _transfer(fp.readinto, counts, f"truncated snapshot while reading {name} counts")

@@ -99,6 +99,22 @@ MUTANTS = (
          CLI_DAMAGE + "[tp_totals decreasing-report]"),
     ),
     Mutant(
+        "reader without the entry-count range check",
+        "streaming.py",
+        "if not 0 <= n <= size:",
+        "if False:",
+        (STREAMING + "TestLoadStateRejects::test_bad_nonzero[-1]",
+         STREAMING + "TestLoadStateRejects::test_bad_nonzero[5]"),
+    ),
+    Mutant(
+        "writer puts each entry count after its indices",
+        "streaming.py",
+        "for block in (np.array([len(idx)]), idx, counts):",
+        "for block in (idx, np.array([len(idx)]), counts):",
+        (STREAMING + "TestSnapshot::test_pinned_bytes",
+         STREAMING + "TestSnapshot::test_round_trip_lossless"),
+    ),
+    Mutant(
         "recall thresholds reached by side=left in cell_aps",
         "streaming.py",
         'k = np.searchsorted(thresholds, recall, side="right")',

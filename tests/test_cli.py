@@ -39,7 +39,8 @@ class TestEvaluate:
         gt, det = golden_paths
         out = tmp_path / "report.csv"
         run_cli("evaluate", gt, det, "--format", "csv", "--output", out)
-        rows = list(csv.DictReader(out.open()))
+        with out.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 12
         byname = {r["metric"]: float(r["value"]) for r in rows}
         assert byname["map_small"] == pytest.approx(1.0)
@@ -493,9 +494,9 @@ class TestBadInputExitsCleanly:
         elif damage == "format 2":
             doc = dict(json.loads(header), format="cocostream-state/2")
             data = json.dumps(doc, sort_keys=True).encode() + b"\n" + body
-        elif damage == "unallocatable count":  # a canonical header asking for petabytes
+        elif damage == "unallocatable count":  # a canonical header, then a count of petabytes
             config = EvalConfig(num_classes=1, buckets=2**40)
-            data = _header(config, [40 * 2**40, 0, 0, 0])
+            data = _header(config) + (40 * 2**40).to_bytes(8, "little")
         else:  # TP counts that no matches give, in a canonical snapshot
             with good.open("rb") as fh:
                 state = load_state(fh)
@@ -520,13 +521,13 @@ class TestBadInputExitsCleanly:
         assert err.startswith("error:") and str(bad) in err and "Traceback" not in err
         assert not out.exists()
 
-    def test_merge_snapshot_without_arrays(self, golden_paths, tmp_path, capsys):
+    def test_merge_snapshot_without_config(self, golden_paths, tmp_path, capsys):
         gt, det = golden_paths
         good = tmp_path / "good.state"
         assert run_cli("evaluate", gt, det, "--output", tmp_path / "r.txt", "--state-out", good) == 0
         header, body = good.read_bytes().split(b"\n", 1)
         doc = json.loads(header)
-        del doc["arrays"]
+        del doc["config"]
         bad = tmp_path / "bad.state"
         bad.write_bytes(json.dumps(doc).encode() + b"\n" + body)
         assert run_cli("merge", good, bad, "--output", tmp_path / "m.state") == 2

@@ -320,6 +320,37 @@ def test_finalize_equals_dense_reference(config, dataset):
     assert _bits(finalize(state)) == _bits(dense_finalize(state))
 
 
+# Scores of two decimals, so confidences tie within and across images.
+rounded_images = _images(
+    st.builds(Detection, boxes(), classes, st.integers(0, 100).map(lambda k: k / 100))
+)
+MAP_ROWS = ("map_standard", "map_50", "map_75", "map_small", "map_medium", "map_large")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    config=st.builds(replace, configs, buckets=st.integers(1, 100)),
+    dataset=st.lists(rounded_images, max_size=4),
+)
+@example(  # a TP and then an FP in the one bucket: MaP 0.5 bucketed, 1.0 exact
+    config=EvalConfig(num_classes=NUM_CLASSES, buckets=1),
+    dataset=[([make_det(confidence=0.9), make_det(confidence=0.8)], [make_gt()])],
+)
+def test_bucketed_map_is_a_lower_bound_of_exact_map(config, dataset):
+    # Each bucket's PR point, which follows every higher bucket, is also a
+    # point of the exact curve, so each bucketed envelope value is a maximum
+    # over fewer points. The exact points within a bucket of TPs only, or of
+    # FPs only, lie below a point that both curves share; so only a bucket
+    # that holds a TP and an FP can make the exact MaP higher.
+    state = update(new_state(config), dataset)
+    bucketed, exact = finalize(state).as_dict(), evaluate_exact(dataset, config).as_dict()
+    for name in MAP_ROWS:
+        assert (bucketed[name] == -1.0) == (exact[name] == -1.0)
+        assert bucketed[name] <= exact[name]
+    if not np.logical_and(state.tp_buckets, state.fp_buckets).any():
+        assert bucketed == exact
+
+
 def test_finalize_equals_dense_reference_on_the_default_grid():
     # Ten thresholds, three classes and detections shifted off their ground
     # truths give each mean enough distinct terms that a change in

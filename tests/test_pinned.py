@@ -41,7 +41,7 @@ PINNED = {
     "finalize": "7d2234c42d1589088a1889aa823cb0d4e36472cfdd1d42cece55eb4a260496b1",
     "evaluate_exact": "42e4dbc0c89644456280e728d9f01f1399ad6a4aafe387a5db529b124e162a9e",
     "run_synth_bench": "3713143ba866081d1f702c3452af7b18aa3040307fc61bf1499c70b2674f1586",
-    "save_state": "81a2b65683ee06b807354aa71fcaf584132c021d2552bd3c465d66dee42c77ac",
+    "save_state": "ca6548f27621fd4d12dfff6abf35e5efd72a034912d0611b2a34f9d538ee9c3d",
 }
 
 
