@@ -20,6 +20,7 @@ in the same call, metric_report(..., cell_aps(...)).
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -441,7 +442,8 @@ def _header(config: EvalConfig) -> bytes:
 def save_state(state: BucketedState, fp: BinaryIO) -> None:
     """Write the state's canonical snapshot (format cocostream-state/4): the
     config's header line, then per array only its non-zero counters, so
-    equal states give equal bytes. load_state reads it back."""
+    equal states give equal bytes. load_state reads it back. fp must be a
+    binary stream; a text stream raises ValueError before a byte is written."""
     entries = {name: _nonzero(getattr(state, name)) for name in _array_shapes(state.config)}
     _write_entries(fp, state.config, entries)
 
@@ -450,11 +452,20 @@ def _write_entries(fp: BinaryIO, config: EvalConfig, entries: dict) -> None:
     """Write the snapshot of config whose arrays hold entries[name] = (flat
     indices, counts), given in snapshot order with the indices increasing:
     per array, the number of entries, then the indices, then the counts."""
+    _binary(fp)
     stalled = "snapshot write made no progress"
     _transfer(fp.write, _header(config), stalled)
     for idx, counts in entries.values():
         for block in (np.array([len(idx)]), idx, counts):
             _transfer(fp.write, block.astype("<i8", copy=False), stalled)
+
+
+def _binary(fp) -> None:
+    """ValueError if fp is a text stream: a snapshot is bytes."""
+    if isinstance(fp, io.TextIOBase):
+        raise ValueError(
+            f"a snapshot needs a binary stream (mode 'rb' or 'wb'), got {type(fp).__name__}"
+        )
 
 
 def _transfer(io_call, buffer, error: str) -> None:
@@ -474,13 +485,56 @@ def _transfer(io_call, buffer, error: str) -> None:
 def load_state(fp: BinaryIO) -> BucketedState:
     """Read a snapshot into a new state.
 
-    Rejects any snapshot that _read_entries rejects; the whole snapshot is
-    read and checked before the state is allocated.
+    Rejects any snapshot that _read_entries rejects, and a text stream; the
+    whole snapshot is read and checked before the state is allocated.
     """
     config, entries = _read_entries(fp)
     return BucketedState(
         config, **{n: _dense(shape, entries[n]) for n, shape in _array_shapes(config).items()}
     )
+
+
+# The last header line that passed every check, with its config, kept as
+# one immutable pair and replaced whole, so a reader never pairs a line
+# with another line's config.
+_known_header: tuple[bytes, EvalConfig] | None = None
+
+
+def _header_config(header_line: bytes) -> EvalConfig:
+    """The config of a snapshot's header line; ValueError unless the line
+    is, byte for byte, the header save_state writes for that config. The
+    last line that passed is kept, so the snapshots of one config parse and
+    check their shared header once per process; an error is never kept."""
+    global _known_header
+    known = _known_header
+    if known is not None and known[0] == header_line:
+        return known[1]
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"not a state snapshot: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError("not a state snapshot: header is not a JSON object")
+    if header.get("format") != _MAGIC:
+        raise ValueError(f"unsupported snapshot format: {header.get('format')!r}")
+    try:
+        config = EvalConfig.from_dict(header["config"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed snapshot header: {exc!r}") from exc
+    expected = _header(config)
+    if header_line != expected:
+        at = next(
+            (i for i, (a, b) in enumerate(zip(header_line, expected)) if a != b),
+            min(len(header_line), len(expected)),
+        )
+        near = slice(max(at - 30, 0), at + 30)
+        raise ValueError(
+            "snapshot header and its config do not match: it is not the line"
+            f" save_state writes for that config; near byte {at},"
+            f" expected {expected[near]!r}, got {header_line[near]!r}"
+        )
+    _known_header = header_line, config
+    return config
 
 
 def _read_entries(fp: BinaryIO) -> tuple[EvalConfig, dict[str, tuple[np.ndarray, np.ndarray]]]:
@@ -494,32 +548,9 @@ def _read_entries(fp: BinaryIO) -> tuple[EvalConfig, dict[str, tuple[np.ndarray,
     gt_counts; so every recall lies in [0, 1]. Raises ValueError, naming
     the array, for any other snapshot.
     """
-    header_line = fp.readline()
-    try:
-        header = json.loads(header_line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ValueError(f"not a state snapshot: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ValueError("not a state snapshot: header is not a JSON object")
-    if header.get("format") != _MAGIC:
-        raise ValueError(f"unsupported snapshot format: {header.get('format')!r}")
-    try:
-        config = EvalConfig.from_dict(header["config"])
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"malformed snapshot header: {exc!r}") from exc
+    _binary(fp)
+    config = _header_config(bytes(fp.readline()))  # the memo keeps no caller's buffer
     shapes = _array_shapes(config)
-    expected = _header(config)
-    if header_line != expected:
-        at = next(
-            (i for i, (a, b) in enumerate(zip(header_line, expected)) if a != b),
-            min(len(header_line), len(expected)),
-        )
-        near = slice(max(at - 30, 0), at + 30)
-        raise ValueError(
-            "snapshot header and its config do not match: it is not the line"
-            f" save_state writes for that config; near byte {at},"
-            f" expected {expected[near]!r}, got {header_line[near]!r}"
-        )
     entries = {}
     for name, shape in shapes.items():
         size = _counters(f"snapshot array {name}", shape)

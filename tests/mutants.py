@@ -43,6 +43,7 @@ CORRUPT = "tests/test_streaming.py::TestLoadStateRejects::" + (
 CLI_DAMAGE = "tests/test_cli.py::TestBadInputExitsCleanly::test_bad_snapshot_error_names_its_file"
 MANY_CLASSES = DIFF + "test_many_class_batches_equal_the_scalar_reference"
 STREAMING = "tests/test_streaming.py::"
+MEMO = STREAMING + "TestHeaderMemo::"
 
 MUTANTS = (
     Mutant(
@@ -113,6 +114,38 @@ MUTANTS = (
         "for block in (idx, np.array([len(idx)]), counts):",
         (STREAMING + "TestSnapshot::test_pinned_bytes",
          STREAMING + "TestSnapshot::test_round_trip_lossless"),
+    ),
+    Mutant(
+        "header memo filled before the canonical-line check",
+        "streaming.py",
+        "    expected = _header(config)\n",
+        "    _known_header = header_line, config\n    expected = _header(config)\n",
+        (MEMO + "test_non_canonical_header_fails_on_every_read",
+         STREAMING + "TestLoadStateRejects::test_non_canonical_header[extra key]"),
+    ),
+    Mutant(
+        "header memo keyed on the line's length",
+        "streaming.py",
+        "known[0] == header_line",
+        "len(known[0]) == len(header_line)",
+        (MEMO + "test_configs_that_differ_in_the_last_field",
+         MEMO + "test_cli_of_differing_configs_fails[merge]"),
+    ),
+    Mutant(
+        "header memo keyed on a 64-byte prefix",
+        "streaming.py",
+        "known[0] == header_line",
+        "known[0][:64] == header_line[:64]",
+        (MEMO + "test_configs_that_differ_in_the_last_field",
+         MEMO + "test_cli_of_differing_configs_fails[report]"),
+    ),
+    Mutant(
+        "text streams let through",
+        "streaming.py",
+        "if isinstance(fp, io.TextIOBase):",
+        "if False:",
+        (STREAMING + "TestSnapshot::test_load_from_a_text_stream_rejected",
+         STREAMING + "TestSnapshot::test_save_to_a_text_stream_rejected"),
     ),
     Mutant(
         "recall thresholds reached by side=left in cell_aps",

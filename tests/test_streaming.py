@@ -4,7 +4,9 @@ import io
 import json
 import math
 import re
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,7 @@ from cocostream.streaming import (
     _add_entries,
     _finalize_entries,
     _header,
+    _header_config,
     _read_entries,
     _write_entries,
     add_matches,
@@ -502,6 +505,21 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="snapshot write made no progress"):
             save_state(new_state(TestLoadStateRejects.CONFIG), Stalled())
 
+    def test_load_from_a_text_stream_rejected(self, small_config, tmp_path):
+        path = tmp_path / "state.bin"
+        with path.open("wb") as fh:
+            save_state(update(new_state(small_config), random_dataset(16, n_images=2)), fh)
+        with open(path) as fh:
+            with pytest.raises(ValueError, match="a snapshot needs a binary stream"):
+                load_state(fh)
+            assert fh.tell() == 0  # nothing was read
+
+    def test_save_to_a_text_stream_rejected(self, small_config):
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="a snapshot needs a binary stream"):
+            save_state(new_state(small_config), out)
+        assert out.getvalue() == ""
+
 
 class SevenByteStream(io.RawIOBase):
     """A raw stream that moves at most 7 bytes per read or write call."""
@@ -899,6 +917,80 @@ class TestLoadStateRejects:
     def test_header_not_an_object(self):
         with pytest.raises(ValueError, match="not a JSON object"):
             load_state(io.BytesIO(b"[1, 2]\n"))
+
+
+class TestHeaderMemo:
+    """The reader keeps the last header line that passed its checks, and
+    never an error or another line's config."""
+
+    # differ only in the last field; the lengths of their header lines agree
+    CONFIGS = [
+        dataclasses.replace(TestLoadStateRejects.CONFIG, max_dets_list=(1, 10, limit))
+        for limit in (100, 200)
+    ]
+
+    def snapshot(self, config) -> bytes:
+        buf = io.BytesIO()
+        save_state(update(new_state(config), [([make_det()], [make_gt()])]), buf)
+        return buf.getvalue()
+
+    def test_non_canonical_header_fails_on_every_read(self):
+        good = self.snapshot(self.CONFIGS[0])
+        header, body = good.split(b"\n", 1)
+        bad = json.dumps(dict(json.loads(header), extra=1), sort_keys=True).encode() + b"\n" + body
+        errors = []
+        for data in (bad, bad, good, bad):
+            try:
+                load_state(io.BytesIO(data))
+            except ValueError as exc:
+                errors.append(str(exc))
+        assert len(errors) == 3 and len(set(errors)) == 1
+        assert "do not match" in errors[0]
+
+    def test_configs_that_differ_in_the_last_field(self):
+        lines = [_header(config) for config in self.CONFIGS]
+        assert lines[0] != lines[1] and len(lines[0]) == len(lines[1])
+        for config in [*self.CONFIGS, *self.CONFIGS]:
+            data = self.snapshot(config)
+            assert load_state(io.BytesIO(data)).config == config
+            assert _read_entries(io.BytesIO(data))[0] == config
+
+    def test_threads_read_their_own_configs(self):
+        # each thread alternates the two lines, so the memo keeps changing
+        lines = [_header(config) for config in self.CONFIGS]
+        wrong = []
+
+        def read(first):
+            for i in range(300):
+                k = (first + i) % 2
+                try:
+                    if _header_config(lines[k]) != self.CONFIGS[k]:
+                        wrong.append(k)
+                except Exception as exc:  # recorded, then asserted below
+                    wrong.append(exc)
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("command", ["merge", "report"])
+    def test_cli_of_differing_configs_fails(self, tmp_path, capsys, command):
+        paths = [tmp_path / f"{limit}.state" for limit in (100, 200)]
+        for config, path in zip(self.CONFIGS, paths):
+            path.write_bytes(self.snapshot(config))
+        out = tmp_path / "out"
+        assert main([command, *map(str, paths), "--output", str(out)]) == 2
+        assert "config mismatch between" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCellTotalBound:
