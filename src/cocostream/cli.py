@@ -9,7 +9,7 @@ import math
 import sys
 from contextlib import contextmanager
 from dataclasses import astuple, fields
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
@@ -259,11 +259,7 @@ def _emit_interchange(
             json.dump(dataset_to_results_doc(synthetic), fh)
 
 
-@cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared by every
-    later one: building it costs far more than a parse, and a parse leaves
-    it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cocostream",
         description="Streaming and exact COCO detection metric evaluation.",

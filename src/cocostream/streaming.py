@@ -20,7 +20,6 @@ in the same call, metric_report(..., cell_aps(...)).
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -452,7 +451,10 @@ def _write_entries(fp: BinaryIO, config: EvalConfig, entries: dict) -> None:
     """Write the snapshot of config whose arrays hold entries[name] = (flat
     indices, counts), given in snapshot order with the indices increasing:
     per array, the number of entries, then the indices, then the counts."""
-    _binary(fp)
+    try:
+        fp.write(b"")  # moves no byte; a text stream rejects bytes
+    except TypeError:
+        raise _text_stream(fp) from None
     stalled = "snapshot write made no progress"
     _transfer(fp.write, _header(config), stalled)
     for idx, counts in entries.values():
@@ -460,12 +462,11 @@ def _write_entries(fp: BinaryIO, config: EvalConfig, entries: dict) -> None:
             _transfer(fp.write, block.astype("<i8", copy=False), stalled)
 
 
-def _binary(fp) -> None:
-    """ValueError if fp is a text stream: a snapshot is bytes."""
-    if isinstance(fp, io.TextIOBase):
-        raise ValueError(
-            f"a snapshot needs a binary stream (mode 'rb' or 'wb'), got {type(fp).__name__}"
-        )
+def _text_stream(fp) -> ValueError:
+    """The error for a text stream given as a snapshot's file: a snapshot is bytes."""
+    return ValueError(
+        f"a snapshot needs a binary stream (mode 'rb' or 'wb'), got {type(fp).__name__}"
+    )
 
 
 def _transfer(io_call, buffer, error: str) -> None:
@@ -494,9 +495,9 @@ def load_state(fp: BinaryIO) -> BucketedState:
     )
 
 
-# The last header line that passed every check, with its config, kept as
-# one immutable pair and replaced whole, so a reader never pairs a line
-# with another line's config.
+# The last header line that passed every check, with its config: one
+# immutable pair that a reader loads once and a check replaces whole, so no
+# thread can pair a line with another line's config.
 _known_header: tuple[bytes, EvalConfig] | None = None
 
 
@@ -548,7 +549,8 @@ def _read_entries(fp: BinaryIO) -> tuple[EvalConfig, dict[str, tuple[np.ndarray,
     gt_counts; so every recall lies in [0, 1]. Raises ValueError, naming
     the array, for any other snapshot.
     """
-    _binary(fp)
+    if isinstance(fp.read(0), str):  # reads nothing; a text stream gives str
+        raise _text_stream(fp)
     config = _header_config(bytes(fp.readline()))  # the memo keeps no caller's buffer
     shapes = _array_shapes(config)
     entries = {}

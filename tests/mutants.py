@@ -140,12 +140,18 @@ MUTANTS = (
          MEMO + "test_cli_of_differing_configs_fails[report]"),
     ),
     Mutant(
-        "text streams let through",
+        "text streams let through to the reader",
         "streaming.py",
-        "if isinstance(fp, io.TextIOBase):",
+        "if isinstance(fp.read(0), str):",
         "if False:",
-        (STREAMING + "TestSnapshot::test_load_from_a_text_stream_rejected",
-         STREAMING + "TestSnapshot::test_save_to_a_text_stream_rejected"),
+        (STREAMING + "TestSnapshot::test_load_from_a_text_stream_rejected",),
+    ),
+    Mutant(
+        "text streams let through to the writer",
+        "streaming.py",
+        "    except TypeError:\n        raise _text_stream(fp) from None\n",
+        "    except ZeroDivisionError:\n        raise _text_stream(fp) from None\n",
+        (STREAMING + "TestSnapshot::test_save_to_a_text_stream_rejected",),
     ),
     Mutant(
         "recall thresholds reached by side=left in cell_aps",

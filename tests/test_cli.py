@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from cocostream import EvalConfig, finalize, load_state, new_state, save_state, update
-from cocostream.cli import build_parser, main
+from cocostream.cli import main
 from cocostream.streaming import _header
 
 from conftest import GOLDEN_METRICS, random_dataset
@@ -96,39 +96,6 @@ class TestEvaluate:
         assert run_cli("merge", state, state, "--output", merged) == 0
         assert run_cli("report", state, "--format", "json", "--output", out) == 0
         assert json.loads(out.read_text()) == reports["streaming"]
-
-
-class TestParser:
-    def test_built_once_per_process(self):
-        assert build_parser() is build_parser()
-
-    def test_calls_on_one_parser_share_nothing(self, golden_paths, tmp_path, capsys):
-        # each call gives what it gives alone, on a parser of its own
-        gt, det = golden_paths
-        out = tmp_path / "report.json"
-        calls = [
-            ["evaluate", gt, det, "--output", out, "--max-dets", "1,5", "--no-such-flag"],
-            ["evaluate", gt, det, "--format", "json", "--output", out, "--max-dets", "1,5"],
-            ["evaluate", gt, det, "--format", "json", "--output", out],
-        ]
-
-        def outcome(argv):
-            out.unlink(missing_ok=True)
-            try:
-                code = run_cli(*argv)
-            except SystemExit as exc:
-                code = exc.code
-            return code, capsys.readouterr().err, out.read_bytes() if out.exists() else None
-
-        alone = []
-        for argv in calls:
-            build_parser.cache_clear()
-            alone.append(outcome(argv))
-        build_parser.cache_clear()
-        assert [outcome(argv) for argv in calls] == alone
-        assert [code for code, _, _ in alone] == [2, 0, 0]
-        assert "unrecognized arguments: --no-such-flag" in alone[0][1]
-        assert alone[1][2] != alone[2][2]
 
 
 class TestMerge:
