@@ -7,11 +7,11 @@ import csv
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from dataclasses import astuple, fields
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import ContextManager, Iterable, TextIO
 
 from .bench import ErrorMarginRow, MetricSummary, run_synth_bench, summarize, synthetic_runs
 from .config import METRIC_LABELS, METRIC_NAMES, AreaRange, EvalConfig, MetricReport
@@ -143,15 +143,10 @@ def _write_records(out: TextIO, kind, records: Iterable) -> None:
         writer.writerow(f"{v:.9f}" if isinstance(v, float) else v for v in astuple(r))
 
 
-@contextmanager
-def _output(path: str | None, default: TextIO) -> Iterator[TextIO]:
+def _output(path: str | None, default: TextIO) -> ContextManager[TextIO]:
     """The file at path, opened for writing and closed on exit, or default
     (left open) when no path is given."""
-    if path:
-        with open(path, "w", newline="") as fh:
-            yield fh
-    else:
-        yield default
+    return open(path, "w", newline="") if path else nullcontext(default)
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:

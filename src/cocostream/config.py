@@ -56,6 +56,15 @@ class EvalConfig:
     max_dets_list: tuple[int, ...] = (1, 10, 100)
 
     def __post_init__(self) -> None:
+        # Python ints only: a float, bool or numpy integer fails later, or
+        # does not round-trip through a snapshot.
+        for name, value in (
+            ("num_classes", self.num_classes),
+            ("buckets", self.buckets),
+            *(("max_dets_list entry", m) for m in self.max_dets_list),
+        ):
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an int, not a bool, got {value!r}")
         if self.num_classes < 1:
             raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
         if self.buckets < 1:

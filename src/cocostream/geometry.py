@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .config import _INTEGERS
+
 PADDING_CLASS_ID = -1
 
 
@@ -42,8 +44,7 @@ class GroundTruth:
     class_id: int
 
     def __post_init__(self) -> None:
-        if self.class_id < PADDING_CLASS_ID:
-            raise ValueError(f"class_id must be >= -1, got {self.class_id}")
+        _check_class_id(self.class_id)
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,16 @@ class Detection:
     confidence: float
 
     def __post_init__(self) -> None:
-        if self.class_id < PADDING_CLASS_ID:
-            raise ValueError(f"class_id must be >= -1, got {self.class_id}")
+        _check_class_id(self.class_id)
         if self.class_id != PADDING_CLASS_ID and not (0.0 <= self.confidence <= 1.0):
             raise ValueError(
                 f"confidence must lie in [0, 1], got {self.confidence}"
             )
 
+
+def _check_class_id(class_id: int) -> None:
+    """ValueError unless class_id is a Python or numpy integer (not a bool) >= -1."""
+    if isinstance(class_id, bool) or not isinstance(class_id, _INTEGERS):
+        raise ValueError(f"class_id must be an integer, got {class_id!r}")
+    if class_id < PADDING_CLASS_ID:
+        raise ValueError(f"class_id must be >= -1, got {class_id}")

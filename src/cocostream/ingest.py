@@ -19,7 +19,7 @@ import os
 import sys
 from contextlib import suppress
 from dataclasses import astuple, dataclass, replace
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Union
 
@@ -291,33 +291,25 @@ def perturb(dataset: Dataset, params: PerturbationParams) -> Dataset:
 
     The whole box translates by uniform fractions of its width/height, its
     size rescales by uniform factors, the class is preserved, and the
-    confidence is drawn uniformly from (0, 1]. Deterministic given the seed
-    (PCG64 generator).
+    confidence is drawn uniformly from (0, 1]. One PCG64 draw of n x 5 uniforms
+    u on [0, 1) from the seed serves the n ground truths in dataset order: per
+    row, dx, dy, width scale and height scale (low + (high - low) * u, as
+    numpy's uniform), then the confidence 1 - u.
     """
-    rng = np.random.default_rng(params.seed)
-    tf = params.translate_fraction
-    images = []
-    for rec in dataset.images:
-        dets = []
-        for gt in rec.ground_truths:
-            b = gt.box
-            w, h = b.width, b.height
-            dx = rng.uniform(-tf, tf) * w
-            dy = rng.uniform(-tf, tf) * h
-            new_w = w * rng.uniform(params.scale_low, params.scale_high)
-            new_h = h * rng.uniform(params.scale_low, params.scale_high)
-            left = b.left + dx
-            top = b.top + dy
-            conf = 1.0 - rng.random()  # uniform over (0, 1]
-            dets.append(
-                Detection(
-                    box=BoundingBox(left, top, left + new_w, top + new_h),
-                    class_id=gt.class_id,
-                    confidence=conf,
-                )
-            )
-        images.append(replace(rec, detections=tuple(dets)))
-    return Dataset(images=tuple(images), category_ids=dataset.category_ids)
+    gts = [gt for rec in dataset.images for gt in rec.ground_truths]
+    dx, dy, sw, sh, u = np.random.default_rng(params.seed).random((len(gts), 5)).T
+    corners = [(g.box.left, g.box.top, g.box.right, g.box.bottom) for g in gts]
+    left, top, right, bottom = np.array(corners, dtype=float).reshape(-1, 4).T
+    tf, low, high = params.translate_fraction, params.scale_low, params.scale_high
+    with np.errstate(over="ignore", invalid="ignore"):  # BoundingBox rejects what overflows
+        w, h = right - left, bottom - top
+        left, top = left + (2 * tf * dx - tf) * w, top + (2 * tf * dy - tf) * h
+        w, h = w * (low + (high - low) * sw), h * (low + (high - low) * sh)
+        rows = np.stack([left, top, left + w, top + h, 1.0 - u], axis=1).tolist()
+    made = iter([Detection(BoundingBox(*b), g.class_id, c) for g, (*b, c) in zip(gts, rows)])
+    per_image = (tuple(islice(made, len(rec.ground_truths))) for rec in dataset.images)
+    images = tuple(replace(rec, detections=d) for rec, d in zip(dataset.images, per_image))
+    return Dataset(images=images, category_ids=dataset.category_ids)
 
 
 # -- interchange export ----------------------------------------------------

@@ -20,6 +20,7 @@ in the same call, metric_report(..., cell_aps(...)).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -442,7 +443,8 @@ def save_state(state: BucketedState, fp: BinaryIO) -> None:
     """Write the state's canonical snapshot (format cocostream-state/4): the
     config's header line, then per array only its non-zero counters, so
     equal states give equal bytes. load_state reads it back. fp must be a
-    binary stream; a text stream raises ValueError before a byte is written."""
+    binary stream; a text stream, or an object that is no stream, raises
+    ValueError before a byte is written."""
     entries = {name: _nonzero(getattr(state, name)) for name in _array_shapes(state.config)}
     _write_entries(fp, state.config, entries)
 
@@ -452,9 +454,9 @@ def _write_entries(fp: BinaryIO, config: EvalConfig, entries: dict) -> None:
     indices, counts), given in snapshot order with the indices increasing:
     per array, the number of entries, then the indices, then the counts."""
     try:
-        fp.write(b"")  # moves no byte; a text stream rejects bytes
-    except TypeError:
-        raise _text_stream(fp) from None
+        fp.write(b"")  # moves no byte; a text stream rejects bytes, a non-stream has no write
+    except (TypeError, AttributeError):
+        raise _not_binary(fp) from None
     stalled = "snapshot write made no progress"
     _transfer(fp.write, _header(config), stalled)
     for idx, counts in entries.values():
@@ -462,8 +464,8 @@ def _write_entries(fp: BinaryIO, config: EvalConfig, entries: dict) -> None:
             _transfer(fp.write, block.astype("<i8", copy=False), stalled)
 
 
-def _text_stream(fp) -> ValueError:
-    """The error for a text stream given as a snapshot's file: a snapshot is bytes."""
+def _not_binary(fp) -> ValueError:
+    """The error for a snapshot's file that is no binary stream: a snapshot is bytes."""
     return ValueError(
         f"a snapshot needs a binary stream (mode 'rb' or 'wb'), got {type(fp).__name__}"
     )
@@ -486,8 +488,9 @@ def _transfer(io_call, buffer, error: str) -> None:
 def load_state(fp: BinaryIO) -> BucketedState:
     """Read a snapshot into a new state.
 
-    Rejects any snapshot that _read_entries rejects, and a text stream; the
-    whole snapshot is read and checked before the state is allocated.
+    Rejects any snapshot that _read_entries rejects, and a text stream or
+    an object that is no stream; the whole snapshot is read and checked
+    before the state is allocated.
     """
     config, entries = _read_entries(fp)
     return BucketedState(
@@ -495,21 +498,13 @@ def load_state(fp: BinaryIO) -> BucketedState:
     )
 
 
-# The last header line that passed every check, with its config: one
-# immutable pair that a reader loads once and a check replaces whole, so no
-# thread can pair a line with another line's config.
-_known_header: tuple[bytes, EvalConfig] | None = None
-
-
+@functools.lru_cache(maxsize=1)
 def _header_config(header_line: bytes) -> EvalConfig:
     """The config of a snapshot's header line; ValueError unless the line
-    is, byte for byte, the header save_state writes for that config. The
-    last line that passed is kept, so the snapshots of one config parse and
-    check their shared header once per process; an error is never kept."""
-    global _known_header
-    known = _known_header
-    if known is not None and known[0] == header_line:
-        return known[1]
+    is, byte for byte, the header save_state writes for that config. A
+    one-entry cache keeps the last line that passed, so the snapshots of one
+    config parse and check their shared header once per process; an error
+    is never kept."""
     try:
         header = json.loads(header_line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
@@ -534,7 +529,6 @@ def _header_config(header_line: bytes) -> EvalConfig:
             f" save_state writes for that config; near byte {at},"
             f" expected {expected[near]!r}, got {header_line[near]!r}"
         )
-    _known_header = header_line, config
     return config
 
 
@@ -549,9 +543,10 @@ def _read_entries(fp: BinaryIO) -> tuple[EvalConfig, dict[str, tuple[np.ndarray,
     gt_counts; so every recall lies in [0, 1]. Raises ValueError, naming
     the array, for any other snapshot.
     """
-    if isinstance(fp.read(0), str):  # reads nothing; a text stream gives str
-        raise _text_stream(fp)
-    config = _header_config(bytes(fp.readline()))  # the memo keeps no caller's buffer
+    read = getattr(fp, "read", None)
+    if read is None or isinstance(read(0), str):  # reads nothing; a text stream gives str
+        raise _not_binary(fp)
+    config = _header_config(bytes(fp.readline()))  # a hashable key, no caller's buffer
     shapes = _array_shapes(config)
     entries = {}
     for name, shape in shapes.items():

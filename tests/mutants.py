@@ -14,6 +14,11 @@ node ids are first run on the unmutated copy, where they must pass.
 The exit status is 0 when every mutant is caught, else 1. pytest does not
 collect this file, so it is not part of the test suite. A change that
 rewrites a hot path adds its mutants here.
+
+Two faults of the hand-rolled header memo that functools.lru_cache replaced
+have no text left to mutate: a memo keyed on the line's length, or on a
+prefix of it. The cache's key is the whole line, compared by the library.
+TestHeaderMemo keeps the tests that caught them.
 """
 
 from __future__ import annotations
@@ -44,6 +49,13 @@ CLI_DAMAGE = "tests/test_cli.py::TestBadInputExitsCleanly::test_bad_snapshot_err
 MANY_CLASSES = DIFF + "test_many_class_batches_equal_the_scalar_reference"
 STREAMING = "tests/test_streaming.py::"
 MEMO = STREAMING + "TestHeaderMemo::"
+INT_FIELDS = STREAMING + "TestConfigRejects::test_integer_fields_take_python_ints_only"
+CLASS_IDS = (
+    "tests/test_geometry.py::TestRecordValidation::test_class_id_that_is_not_an_integer_rejected"
+)
+PERTURB = DIFF + "test_perturb_equals_the_scalar_draw_loop"
+PINNED = "tests/test_pinned.py::test_pinned_reports"
+SYNTH_CSV = "tests/test_cli.py::TestSynthBench::test_rows_and_determinism"
 
 MUTANTS = (
     Mutant(
@@ -116,42 +128,54 @@ MUTANTS = (
          STREAMING + "TestSnapshot::test_round_trip_lossless"),
     ),
     Mutant(
-        "header memo filled before the canonical-line check",
+        "header cache holds no line",
         "streaming.py",
-        "    expected = _header(config)\n",
-        "    _known_header = header_line, config\n    expected = _header(config)\n",
+        "@functools.lru_cache(maxsize=1)",
+        "@functools.lru_cache(maxsize=0)",
+        (MEMO + "test_the_kept_line_outlives_a_read",),
+    ),
+    Mutant(
+        "header cache emptied on every read",
+        "streaming.py",
+        "    config = _header_config(bytes(fp.readline()))",
+        "    _header_config.cache_clear()\n    config = _header_config(bytes(fp.readline()))",
+        (MEMO + "test_the_kept_line_outlives_a_read",),
+    ),
+    Mutant(
+        "header cache keeps a non-canonical line",
+        "streaming.py",
+        "if header_line != expected:",
+        "if False:",
         (MEMO + "test_non_canonical_header_fails_on_every_read",
          STREAMING + "TestLoadStateRejects::test_non_canonical_header[extra key]"),
     ),
     Mutant(
-        "header memo keyed on the line's length",
-        "streaming.py",
-        "known[0] == header_line",
-        "len(known[0]) == len(header_line)",
-        (MEMO + "test_configs_that_differ_in_the_last_field",
-         MEMO + "test_cli_of_differing_configs_fails[merge]"),
-    ),
-    Mutant(
-        "header memo keyed on a 64-byte prefix",
-        "streaming.py",
-        "known[0] == header_line",
-        "known[0][:64] == header_line[:64]",
-        (MEMO + "test_configs_that_differ_in_the_last_field",
-         MEMO + "test_cli_of_differing_configs_fails[report]"),
-    ),
-    Mutant(
         "text streams let through to the reader",
         "streaming.py",
-        "if isinstance(fp.read(0), str):",
-        "if False:",
+        "if read is None or isinstance(read(0), str):",
+        "if read is None:",
         (STREAMING + "TestSnapshot::test_load_from_a_text_stream_rejected",),
+    ),
+    Mutant(
+        "non-streams let through to the reader",
+        "streaming.py",
+        "if read is None or isinstance(read(0), str):",
+        "if isinstance(read(0), str):",
+        (STREAMING + "TestSnapshot::test_load_from_a_non_stream_rejected",),
     ),
     Mutant(
         "text streams let through to the writer",
         "streaming.py",
-        "    except TypeError:\n        raise _text_stream(fp) from None\n",
-        "    except ZeroDivisionError:\n        raise _text_stream(fp) from None\n",
+        "    except (TypeError, AttributeError):\n        raise _not_binary(fp) from None\n",
+        "    except AttributeError:\n        raise _not_binary(fp) from None\n",
         (STREAMING + "TestSnapshot::test_save_to_a_text_stream_rejected",),
+    ),
+    Mutant(
+        "non-streams let through to the writer",
+        "streaming.py",
+        "    except (TypeError, AttributeError):\n        raise _not_binary(fp) from None\n",
+        "    except TypeError:\n        raise _not_binary(fp) from None\n",
+        (STREAMING + "TestSnapshot::test_save_to_a_non_stream_rejected",),
     ),
     Mutant(
         "recall thresholds reached by side=left in cell_aps",
@@ -219,6 +243,36 @@ MUTANTS = (
         "best = avail.shape[-1] - 1 - avail[..., ::-1].argmax(axis=-1)",
         (MANY_CLASSES + "[16]",
          "tests/test_matching.py::TestMatchImageClass::test_gt_iou_tie_takes_lowest_index"),
+    ),
+    Mutant(
+        "perturb draw columns dx and dy swapped",
+        "ingest.py",
+        "dx, dy, sw, sh, u = np.random",
+        "dy, dx, sw, sh, u = np.random",
+        (PERTURB, PINNED, SYNTH_CSV),
+    ),
+    Mutant(
+        "perturb confidence u in place of 1 - u",
+        "ingest.py",
+        "top + h, 1.0 - u], axis=1)",
+        "top + h, u], axis=1)",
+        (PERTURB, PINNED, SYNTH_CSV),
+    ),
+    Mutant(
+        "config integer check dropped",
+        "config.py",
+        "            if not _is_int(value):",
+        "            if False:",
+        (INT_FIELDS + "[num_classes-1.0]",
+         INT_FIELDS + "[buckets-np.int32(7)]",
+         INT_FIELDS + "[max_dets_list-(1, 2.5)]"),
+    ),
+    Mutant(
+        "class-id check dropped",
+        "geometry.py",
+        "if isinstance(class_id, bool) or not isinstance(class_id, _INTEGERS):",
+        "if False:",
+        (CLASS_IDS + "[1.5]", CLASS_IDS + "[True]"),
     ),
     Mutant(
         "unstable ground-truth group sort (ties reversed)",

@@ -10,8 +10,12 @@ Reduction: finalize in cocostream.streaming reduces only the occupied
 buckets and fills one AP array; dense_finalize keeps the form it replaced,
 one ap_for(t, k, a) callback per cell over the full bucket axis and a mean
 over a Python list, so tests can require bit-identical reports.
+
+Synthesis: perturb_reference is the per-box loop that cocostream.ingest.perturb
+replaced with one draw per call, five scalar draws per ground truth.
 """
 
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -140,3 +144,33 @@ def dense_finalize(state: BucketedState) -> MetricReport:
         )
 
     return metric_report(cfg, state.gt_counts, state.tp_totals, ap_for)
+
+
+def perturb_reference(dataset, params, *, box_type, detection_type):
+    """perturb with one generator call per drawn number. The box and
+    detection types come in as arguments, as this module imports no
+    geometry from cocostream; the dataset keeps its own types."""
+    rng = np.random.default_rng(params.seed)
+    tf = params.translate_fraction
+    images = []
+    for rec in dataset.images:
+        dets = []
+        for gt in rec.ground_truths:
+            b = gt.box
+            w, h = b.width, b.height
+            dx = rng.uniform(-tf, tf) * w
+            dy = rng.uniform(-tf, tf) * h
+            new_w = w * rng.uniform(params.scale_low, params.scale_high)
+            new_h = h * rng.uniform(params.scale_low, params.scale_high)
+            left = b.left + dx
+            top = b.top + dy
+            conf = 1.0 - rng.random()  # uniform over (0, 1]
+            dets.append(
+                detection_type(
+                    box=box_type(left, top, left + new_w, top + new_h),
+                    class_id=gt.class_id,
+                    confidence=conf,
+                )
+            )
+        images.append(replace(rec, detections=tuple(dets)))
+    return replace(dataset, images=tuple(images))

@@ -8,7 +8,8 @@ batch order, with the chunk cap patched so that batches split into chunks,
 and the snapshot entries and report built straight from its matches are
 held to the dense state's. The flat histogram index of every kept verdict,
 up to 2**40 buckets, and the oracle's recall totals are held to one
-np.ravel_multi_index per verdict.
+np.ravel_multi_index per verdict. perturb is held to perturb_reference, its
+former loop of scalar draws, by exact equality of the datasets.
 
 Max-dets limits are drawn from 1-6, so prefixes of the single match at the
 largest limit really get cut; a few repeated confidences produce confidence
@@ -28,14 +29,18 @@ from hypothesis import strategies as st
 from cocostream import (
     AreaRange,
     BoundingBox,
+    Dataset,
     Detection,
     EvalConfig,
     GroundTruth,
+    ImageRecord,
+    PerturbationParams,
     bucket_index,
     evaluate_exact,
     finalize,
     interpolate_ap,
     new_state,
+    perturb,
     save_state,
     update,
 )
@@ -45,7 +50,7 @@ from cocostream.oracle import exact_report
 from cocostream.streaming import _finalize_entries, _match_entries, _write_entries, add_matches
 
 from conftest import cell_result, make_det, make_gt, random_dataset
-from reference import dense_finalize, greedy_cell, metric_report
+from reference import dense_finalize, greedy_cell, metric_report, perturb_reference
 
 NUM_CLASSES = 2
 
@@ -456,3 +461,65 @@ def test_kept_indices_equal_a_per_verdict_ravel(config, batch):
     want = np.zeros(tp_totals.size, dtype=np.int64)
     want[idx] = counts
     np.testing.assert_array_equal(tp_totals.reshape(-1), want)
+
+
+@st.composite
+def _float_boxes(draw):
+    left, top = draw(st.floats(-1e4, 1e4)), draw(st.floats(-1e4, 1e4))
+    return BoundingBox(left, top, left + draw(st.floats(0, 1e4)), top + draw(st.floats(0, 1e4)))
+
+
+pools = st.lists(
+    st.builds(
+        ImageRecord,
+        image_id=st.integers(0, 10**6),
+        ground_truths=st.lists(st.builds(GroundTruth, _float_boxes(), classes), max_size=5).map(
+            tuple
+        ),
+    ),
+    max_size=6,
+).map(lambda records: Dataset(images=tuple(records), category_ids=(3, 7)))
+
+
+@st.composite
+def perturbation_params(draw):
+    low, high = sorted(draw(st.lists(st.floats(0, 10, exclude_min=True), min_size=2, max_size=2)))
+    return PerturbationParams(
+        translate_fraction=draw(st.floats(0, 1, exclude_max=True)),
+        scale_low=low,
+        scale_high=high,
+        seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+def _perturb_reference(dataset, params):
+    return perturb_reference(dataset, params, box_type=BoundingBox, detection_type=Detection)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dataset=pools, params=perturbation_params())
+@example(dataset=Dataset(images=(), category_ids=()), params=PerturbationParams())
+@example(  # an image with no ground truth between two that have some
+    dataset=Dataset(
+        images=(
+            ImageRecord(1, (make_gt(), make_gt(5, 5, 20, 30, class_id=1))),
+            ImageRecord(2),
+            ImageRecord(3, (make_gt(class_id=-1),)),
+        ),
+        category_ids=(3, 7),
+    ),
+    params=PerturbationParams(seed=11),
+)
+def test_perturb_equals_the_scalar_draw_loop(dataset, params):
+    assert perturb(dataset, params) == _perturb_reference(dataset, params)
+
+
+def test_perturb_of_a_box_past_the_float_range_fails_as_the_loop_does():
+    wide = ImageRecord(1, (GroundTruth(BoundingBox(-1e308, 0.0, 1e308, 1.0), 0),))
+    dataset = Dataset(images=(wide,), category_ids=(3,))
+    errors = []
+    for synthesize in (perturb, _perturb_reference):
+        with pytest.raises(ValueError, match="non-finite box coordinate") as caught:
+            synthesize(dataset, PerturbationParams(seed=2))
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]

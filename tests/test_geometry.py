@@ -115,3 +115,18 @@ class TestRecordValidation:
     def test_detection_class_below_padding_rejected(self):
         with pytest.raises(ValueError, match="class_id must be >= -1, got -2"):
             make_det(class_id=-2)
+
+    @pytest.mark.parametrize(
+        "class_id", [1.5, 0.7, 1.0, np.float64(1.0), "1", True, False, None], ids=repr
+    )
+    def test_class_id_that_is_not_an_integer_rejected(self, class_id):
+        # a float id used to be cast to int64 in match_batch, so 1.5 matched class 1
+        for make in (make_det, make_gt):
+            with pytest.raises(ValueError, match="class_id must be an integer, got"):
+                make(class_id=class_id)
+
+    @pytest.mark.parametrize(
+        "class_id", [-1, 0, 2, np.int64(1), np.int32(-1), np.uint8(2)], ids=repr
+    )
+    def test_python_and_numpy_integer_class_ids_accepted(self, class_id):
+        assert make_det(class_id=class_id).class_id == make_gt(class_id=class_id).class_id

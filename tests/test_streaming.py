@@ -36,6 +36,7 @@ from cocostream.streaming import (
     _add_entries,
     _finalize_entries,
     _header,
+    _header_config,
     _read_entries,
     _write_entries,
     add_matches,
@@ -87,6 +88,27 @@ class TestConfigRejects:
         d[key] = []
         with pytest.raises(ConfigError, match=f"{key} must be non-empty"):
             EvalConfig.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("num_classes", 1.0),
+            ("num_classes", True),
+            ("num_classes", np.int64(2)),
+            ("buckets", 10.0),
+            ("buckets", True),
+            ("buckets", np.int32(7)),
+            ("max_dets_list", (1, 2.5)),
+            ("max_dets_list", (True, 10)),
+            ("max_dets_list", (1, np.int64(10))),
+        ],
+        ids=lambda v: v if isinstance(v, str) else repr(v),
+    )
+    def test_integer_fields_take_python_ints_only(self, key, value):
+        # each used to build, then fail in new_state, in load_state of its
+        # own snapshot, or in save_state's JSON header
+        with pytest.raises(ConfigError, match=f"^{key}.* must be an int, not a bool, got"):
+            EvalConfig(**{"num_classes": 2, key: value})
 
 
 class TestBucketIndex:
@@ -539,6 +561,24 @@ class TestSnapshot:
                 save_state(new_state(small_config), fh)
             assert fh.tell() == 0  # nothing was written
 
+    NOT_STREAMS = ["state.bin", Path("state.bin"), b"cocostream-state/4\n", None]
+
+    @staticmethod
+    def not_a_stream(fp) -> str:
+        return re.escape(
+            f"a snapshot needs a binary stream (mode 'rb' or 'wb'), got {type(fp).__name__}"
+        )
+
+    @pytest.mark.parametrize("fp", NOT_STREAMS, ids=repr)
+    def test_load_from_a_non_stream_rejected(self, fp):
+        with pytest.raises(ValueError, match=self.not_a_stream(fp)):
+            load_state(fp)
+
+    @pytest.mark.parametrize("fp", NOT_STREAMS, ids=repr)
+    def test_save_to_a_non_stream_rejected(self, small_config, fp):
+        with pytest.raises(ValueError, match=self.not_a_stream(fp)):
+            save_state(new_state(small_config), fp)
+
 
 class SevenByteStream(io.RawIOBase):
     """A raw stream that moves at most 7 bytes per read or write call."""
@@ -973,6 +1013,15 @@ class TestHeaderMemo:
             data = self.snapshot(config)
             assert load_state(io.BytesIO(data)).config == config
             assert _read_entries(io.BytesIO(data))[0] == config
+
+    def test_the_kept_line_outlives_a_read(self):
+        data = self.snapshot(self.CONFIGS[0])
+        load_state(io.BytesIO(data))
+        before = _header_config.cache_info()
+        load_state(io.BytesIO(data))
+        _read_entries(io.BytesIO(data))
+        after = _header_config.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
 
     @pytest.mark.parametrize("command", ["merge", "report"])
     def test_cli_of_differing_configs_fails(self, tmp_path, capsys, command):
