@@ -16,7 +16,6 @@ from typing import ContextManager, Iterable, TextIO
 from .bench import ErrorMarginRow, MetricSummary, run_synth_bench, summarize, synthetic_runs
 from .config import METRIC_LABELS, METRIC_NAMES, AreaRange, EvalConfig, MetricReport
 from .ingest import (
-    Dataset,
     PerturbationParams,
     _read_annotations,
     _read_results,
@@ -228,30 +227,19 @@ def _cmd_synth_bench(args: argparse.Namespace) -> int:
     if args.emit_json:
         emit_dir = Path(args.emit_json)
         emit_dir.mkdir(parents=True, exist_ok=True)
-        _emit_interchange(gt, params, args.image_counts, args.repeats, args.seed, emit_dir)
+        runs = synthetic_runs(gt, args.image_counts, args.repeats, args.seed, params)
+        for n, run, sampled, synthetic in runs:
+            stem = f"n{n}_run{run}"
+            with open(emit_dir / f"{stem}_annotations.json", "w") as fh:
+                json.dump(dataset_to_annotation_doc(sampled), fh)
+            with open(emit_dir / f"{stem}_detections.json", "w") as fh:
+                json.dump(dataset_to_results_doc(synthetic), fh)
 
     with _output(args.output, sys.stdout) as out:
         _write_records(out, ErrorMarginRow, rows)
     with _output(args.summary_output, sys.stderr) as out:
         _write_records(out, MetricSummary, summarize(rows))
     return 0
-
-
-def _emit_interchange(
-    gt: Dataset,
-    params: PerturbationParams,
-    image_counts,
-    repeats: int,
-    seed: int,
-    emit_dir: Path,
-) -> None:
-    """Write each run's sampled GT and synthetic detections as challenge JSON."""
-    for n, run, sampled, synthetic in synthetic_runs(gt, image_counts, repeats, seed, params):
-        stem = f"n{n}_run{run}"
-        with open(emit_dir / f"{stem}_annotations.json", "w") as fh:
-            json.dump(dataset_to_annotation_doc(sampled), fh)
-        with open(emit_dir / f"{stem}_detections.json", "w") as fh:
-            json.dump(dataset_to_results_doc(synthetic), fh)
 
 
 def build_parser() -> argparse.ArgumentParser:

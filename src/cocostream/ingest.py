@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import _INTEGERS, _NUMBERS, _is_number
 from .geometry import BoundingBox, Detection, GroundTruth
-from .matching import _areas, _Columns
+from .matching import _areas, _box_array, _Columns
 
 
 class ParseError(ValueError):
@@ -298,8 +298,7 @@ def perturb(dataset: Dataset, params: PerturbationParams) -> Dataset:
     """
     gts = [gt for rec in dataset.images for gt in rec.ground_truths]
     dx, dy, sw, sh, u = np.random.default_rng(params.seed).random((len(gts), 5)).T
-    corners = [(g.box.left, g.box.top, g.box.right, g.box.bottom) for g in gts]
-    left, top, right, bottom = np.array(corners, dtype=float).reshape(-1, 4).T
+    left, top, right, bottom = _box_array(gts).T
     tf, low, high = params.translate_fraction, params.scale_low, params.scale_high
     with np.errstate(over="ignore", invalid="ignore"):  # BoundingBox rejects what overflows
         w, h = right - left, bottom - top

@@ -102,15 +102,17 @@ def match_batch(
     gts = [g for _, gs in pairs for g in gs]
     det_img = np.repeat(np.arange(len(pairs)), [len(ds) for ds, _ in pairs])
     gt_img = np.repeat(np.arange(len(pairs)), [len(gs) for _, gs in pairs])
-    det_cls = np.array([d.class_id for d in dets], dtype=np.int64)
-    gt_cls = np.array([g.class_id for g in gts], dtype=np.int64)
-    ids, ids_img = np.concatenate([det_cls, gt_cls]), np.concatenate([det_img, gt_img])
+    n, items, ids_img = len(dets), dets + gts, np.concatenate([det_img, gt_img])
+    try:
+        ids = np.array([x.class_id for x in items], dtype=np.int64)
+    except OverflowError:  # an id past int64, outside every config: compare Python ints
+        ids = np.array([int(x.class_id) for x in items], dtype=object)
     real = ids != PADDING_CLASS_ID
     bad = real & ((ids < 0) | (ids >= config.num_classes))
     if bad.any():
         bad_id = ids[bad & (ids_img == ids_img[bad].min())].min()
         raise MatchingError(f"class id {bad_id} outside [0, {config.num_classes})")
-    n, boxes = len(dets), _box_array(dets + gts)
+    boxes = _box_array(items)
     with np.errstate(over="ignore"):
         huge = real & ~np.isfinite(_areas(boxes))
     if huge.any():
@@ -120,8 +122,8 @@ def match_batch(
             f"image {ids_img[i]} of the batch: {kind} {x.box} has an area past the float range"
         )
     confs = np.array([d.confidence for d in dets], dtype=float)
-    dets = _Columns(det_img, det_cls, boxes[:n], confs).take(real[:n])
-    gts = _Columns(gt_img, gt_cls, boxes[n:], np.zeros(len(gts))).take(real[n:])
+    dets = _Columns(det_img, ids[:n], boxes[:n], confs).take(real[:n])
+    gts = _Columns(gt_img, ids[n:], boxes[n:], np.zeros(len(gts))).take(real[n:])
     return _match_columns(config, len(pairs), dets, gts)
 
 

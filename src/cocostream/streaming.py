@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Sequence
 
@@ -519,10 +520,7 @@ def _header_config(header_line: bytes) -> EvalConfig:
         raise ValueError(f"malformed snapshot header: {exc!r}") from exc
     expected = _header(config)
     if header_line != expected:
-        at = next(
-            (i for i, (a, b) in enumerate(zip(header_line, expected)) if a != b),
-            min(len(header_line), len(expected)),
-        )
+        at = len(os.path.commonprefix([header_line, expected]))
         near = slice(max(at - 30, 0), at + 30)
         raise ValueError(
             "snapshot header and its config do not match: it is not the line"

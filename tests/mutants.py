@@ -56,6 +56,13 @@ CLASS_IDS = (
 PERTURB = DIFF + "test_perturb_equals_the_scalar_draw_loop"
 PINNED = "tests/test_pinned.py::test_pinned_reports"
 SYNTH_CSV = "tests/test_cli.py::TestSynthBench::test_rows_and_determinism"
+EMITTED = "tests/test_cli.py::TestSynthBench::test_emitted_files_are_the_scored_runs"
+HEADER_BYTE = STREAMING + (
+    "TestLoadStateRejects::test_non_canonical_header_names_the_first_differing_byte"
+)
+HUGE_CLASS_ID = "tests/test_matching.py::TestMatchImage::" + (
+    "test_class_id_past_int64_is_a_matching_error"
+)
 
 MUTANTS = (
     Mutant(
@@ -281,6 +288,37 @@ MUTANTS = (
         'by_group = np.argsort(-key, kind="stable")[::-1]',
         (MANY_CLASSES + "[16]", MANY_CLASSES + "[65536]",
          DIFF + "test_update_equals_scalar_reference"),
+    ),
+    Mutant(
+        "header error byte one before the first difference",
+        "streaming.py",
+        "at = len(os.path.commonprefix([header_line, expected]))",
+        "at = len(os.path.commonprefix([header_line, expected])) - 1",
+        (HEADER_BYTE + "[compact separators]", HEADER_BYTE + "[strict prefix]",
+         HEADER_BYTE + "[extra bytes]"),
+    ),
+    Mutant(
+        "emitted detections written from the sampled ground truths",
+        "cli.py",
+        "json.dump(dataset_to_results_doc(synthetic), fh)",
+        "json.dump(dataset_to_results_doc(sampled), fh)",
+        (EMITTED + "[0-100]", EMITTED + "[5-10000]"),
+    ),
+    Mutant(
+        "perturb reads the corners in reverse",
+        "ingest.py",
+        "left, top, right, bottom = _box_array(gts).T",
+        "left, top, right, bottom = _box_array(gts)[:, ::-1].T",
+        (PERTURB, PINNED, SYNTH_CSV),
+    ),
+    Mutant(
+        "class ids past int64 left to the OverflowError",
+        "matching.py",
+        "except OverflowError:",
+        "except ZeroDivisionError:",
+        (HUGE_CLASS_ID + "[det-9223372036854775808]",
+         HUGE_CLASS_ID + "[gt-1180591620717411303424]",
+         HUGE_CLASS_ID + "[gt-np.uint64(9223372036854775808)]"),
     ),
 )
 

@@ -313,6 +313,36 @@ class TestSynthBench:
         rows = json.loads((emit_dir / "n4_run0_detections.json").read_text())
         assert all(set(r) == {"image_id", "category_id", "bbox", "score"} for r in rows)
 
+    @pytest.mark.parametrize("buckets", [100, 10000])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_emitted_files_are_the_scored_runs(self, synthetic_pool_path, tmp_path, seed, buckets):
+        # exact evaluate of each emitted pair gives that run's exact_value row by row
+        emit_dir, rows_csv = tmp_path / "emit", tmp_path / "rows.csv"
+        rc = run_cli(
+            "synth-bench", synthetic_pool_path,
+            "--image-counts", "20,100", "--repeats", "3", "--seed", seed,
+            "--buckets", buckets,
+            "--output", rows_csv, "--summary-output", tmp_path / "summary.csv",
+            "--emit-json", emit_dir,
+        )
+        assert rc == 0
+        want = {}
+        for r in csv.DictReader(rows_csv.read_text().splitlines()):
+            want.setdefault(f"n{r['n_images']}_run{r['run_index']}", {})[r["metric_name"]] = (
+                r["exact_value"]
+            )
+        assert len(want) == 6 and all(len(metrics) == 12 for metrics in want.values())
+        for stem, metrics in want.items():
+            report = tmp_path / f"{stem}.json"
+            rc = run_cli(
+                "evaluate", emit_dir / f"{stem}_annotations.json",
+                emit_dir / f"{stem}_detections.json",
+                "--mode", "exact", "--buckets", buckets, "--format", "json", "--output", report,
+            )
+            assert rc == 0
+            got = json.loads(report.read_text())
+            assert {name: f"{got[name]:.9f}" for name in metrics} == metrics, stem
+
 
 # Bad flag values whose error must also name the rule they break.
 REASONS = {

@@ -1,3 +1,4 @@
+import io
 import math
 import re
 import tracemalloc
@@ -13,6 +14,10 @@ from cocostream import (
     EvalConfig,
     GroundTruth,
     MatchingError,
+    evaluate_exact,
+    new_state,
+    save_state,
+    update,
 )
 from cocostream.matching import match_batch, match_image
 
@@ -208,6 +213,30 @@ class TestMatchImage:
         ]
         with pytest.raises(MatchingError, match=re.escape("class id 7 outside [0, 3)")):
             match_batch(batch, small_config)
+
+    @pytest.mark.parametrize("huge", [2**63, 2**70, np.uint64(2**63)], ids=repr)
+    @pytest.mark.parametrize("side", ["det", "gt"])
+    def test_class_id_past_int64_is_a_matching_error(self, small_config, huge, side):
+        # It does not fit the int64 id array. Image 1 is the first bad
+        # image, so its id is named, though image 2's 5 is smaller.
+        good = ([make_det(confidence=0.7)], [make_gt()])
+        dets, gts = [make_det(confidence=0.5)], [make_gt(class_id=-1)]
+        if side == "det":
+            dets.append(make_det(class_id=huge, confidence=0.5))
+        else:
+            gts.append(make_gt(class_id=huge))
+        batch = [good, (dets, gts), ([make_det(class_id=5, confidence=0.5)], [])]
+        want = re.escape(f"class id {int(huge)} outside [0, 3)")
+        with pytest.raises(MatchingError, match=want):
+            evaluate_exact(batch, small_config)
+        state = update(new_state(small_config), [good])
+        before = io.BytesIO()
+        save_state(state, before)
+        with pytest.raises(MatchingError, match=want):
+            update(state, batch)
+        after = io.BytesIO()
+        save_state(state, after)
+        assert after.getvalue() == before.getvalue()
 
     def test_box_area_past_float_range_rejected(self, small_config):
         # 1e308 * 1e308 overflows to inf, so the box would fall in no area range

@@ -953,6 +953,20 @@ class TestLoadStateRejects:
         assert "do not match" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("variant", ["compact separators", "strict prefix", "extra bytes"])
+    def test_non_canonical_header_names_the_first_differing_byte(self, variant):
+        _, body = self.snapshot()
+        line = _header(self.CONFIG)  # b'{"config": {...}, "format": ...}\n'
+        compact = json.dumps(json.loads(line), separators=(",", ":")).encode() + b"\n"
+        data, k = {
+            "compact separators": (compact + body, 10),  # b'{"config":{' against b'{"config": {'
+            "strict prefix": (line[:-1], len(line) - 1),  # no newline: the file is the line
+            "extra bytes": (line[:-1] + b"  \n" + body, len(line) - 1),
+        }[variant]
+        assert data[:k] == line[:k] and data[k : k + 1] != line[k : k + 1]
+        with pytest.raises(ValueError, match=f"do not match: .* near byte {k},"):
+            load_state(io.BytesIO(data))
+
     def test_negative_counter(self):
         state = new_state(self.CONFIG)
         state.gt_counts[0, 0] = -1
