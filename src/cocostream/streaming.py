@@ -11,11 +11,14 @@ associative and commutative.
 
 The dense state serves the library API (update, merge, finalize). Only
 occupied counters are ever stored or reduced, so the command line works on
-(flat index, count) entries instead, and never allocates the grid. Three
-primitives carry every conversion: _nonzero (array to entries), _dense
-(entries to array) and _join (two entry vectors aligned on the sorted union
-of their indices). finalize, _finalize_entries and the exact oracle all end
-in the same call, metric_report(..., cell_aps(...)).
+(flat index, count) entries instead, and never allocates the grid. The
+entries, like the snapshot, hold det_buckets in place of fp_buckets: one
+TP + FP count per (class, area, bucket), which is the same at every IoU
+threshold, so FP = det - TP. Three primitives carry every conversion:
+_nonzero (array to entries), _dense (entries to array) and _join (two entry
+vectors aligned on the sorted union of their indices). finalize,
+_finalize_entries and the exact oracle all end in the same call,
+metric_report(..., cell_aps(...)).
 """
 
 from __future__ import annotations
@@ -81,13 +84,27 @@ class BucketedState:
 
 
 def _array_shapes(config: EvalConfig) -> dict[str, tuple[int, ...]]:
-    """Name and shape of each state array, in snapshot order."""
+    """Name and shape of each state array."""
     cells = (len(config.iou_thresholds), config.num_classes, len(config.area_ranges))
     return {
         "tp_buckets": (*cells, 1, config.buckets),
         "fp_buckets": (*cells, 1, config.buckets),
         "tp_totals": (*cells, len(config.max_dets_list)),
         "gt_counts": cells[1:],
+    }
+
+
+def _snapshot_shapes(config: EvalConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of each snapshot (and CLI entries) array, in snapshot
+    order: the state's, but for det_buckets (classes, areas, buckets) in
+    place of fp_buckets. It counts each bucket's detections, TP + FP, which
+    is the same at every IoU threshold."""
+    shapes = _array_shapes(config)
+    return {
+        "tp_buckets": shapes["tp_buckets"],
+        "det_buckets": (*shapes["gt_counts"], config.buckets),
+        "tp_totals": shapes["tp_totals"],
+        "gt_counts": shapes["gt_counts"],
     }
 
 
@@ -131,13 +148,13 @@ def add_matches(state: BucketedState, matches: Matches) -> BucketedState:
         raise ValueError("matches were made under a different config than the state")
     gt_counts = _checked_sum("gt_counts", state.gt_counts, matches.gt_counts)
     tp_totals = _checked_sum("tp_totals", state.tp_totals, _tp_totals(matches))
-    names, added = ("tp_buckets", "fp_buckets"), []
-    for name, flat in zip(names, _kept_indices(matches)):
+    flat, added = _bucket_indices(matches), []
+    for name, kept in (("tp_buckets", flat[matches.tp]), ("fp_buckets", flat[~matches.tp])):
         hist = getattr(state, name).reshape(-1)
-        np.add.at(hist, flat, 1)
-        added.append((hist, flat))
+        np.add.at(hist, kept, 1)
+        added.append((hist, kept))
         # Counters start >= 0, so one below 0 has wrapped; undoing a wrap is exact.
-        if (hist[flat] < 0).any():
+        if (hist[kept] < 0).any():
             for undo, at in added:
                 np.subtract.at(undo, at, 1)
             raise ValueError(f"counter overflow in array {name}: a sum is outside int64")
@@ -152,14 +169,14 @@ def _cells(matches: Matches) -> np.ndarray:
     return np.arange(n_t)[:, None] * (n_k * n_a) + (matches.cls * n_a + matches.area)
 
 
-def _kept_indices(matches: Matches) -> tuple[np.ndarray, np.ndarray]:
-    """Flat C-order indices, in the histogram grid, of every TP verdict and
-    every FP verdict, repeats included; every column of matches is kept at
-    the largest max-dets limit."""
+def _bucket_indices(matches: Matches) -> np.ndarray:
+    """(|Theta|, columns) flat C-order index of each verdict in the
+    histogram grid; every column of matches is kept at the largest max-dets
+    limit. Row 0 holds (class * areas + area) * buckets + bucket, so it is
+    also each column's flat index in the snapshot's det_buckets."""
     buckets = matches.config.buckets
     _counters("state array tp_buckets", _array_shapes(matches.config)["tp_buckets"])
-    flat = _cells(matches) * buckets + bucket_index(matches.confidences, buckets)
-    return flat[matches.tp], flat[~matches.tp]
+    return _cells(matches) * buckets + bucket_index(matches.confidences, buckets)
 
 
 def _tp_totals(matches: Matches) -> np.ndarray:
@@ -179,10 +196,10 @@ def _match_entries(matches: Matches) -> dict[str, tuple[np.ndarray, np.ndarray]]
     """The (flat indices, counts) entries, per array in snapshot order, that
     save_state would store for add_matches(new_state(config), matches),
     computed without the state."""
-    tp, fp = _kept_indices(matches)
+    flat = _bucket_indices(matches)
     return {
-        "tp_buckets": np.unique(tp, return_counts=True),
-        "fp_buckets": np.unique(fp, return_counts=True),
+        "tp_buckets": np.unique(flat[matches.tp], return_counts=True),
+        "det_buckets": np.unique(flat[0], return_counts=True),
         "tp_totals": _nonzero(_tp_totals(matches)),
         "gt_counts": _nonzero(matches.gt_counts),
     }
@@ -394,43 +411,71 @@ def finalize(state: BucketedState) -> MetricReport:
     the bucket-granularity PR curve and is approximate up to bucket width.
     Only the occupied buckets are reduced: an empty bucket repeats the PR
     point before it. Their flat indices, scanned forward and reversed, put
-    each cell's buckets in one run, highest first.
+    each cell's buckets in one run, highest first. Raises ValueError,
+    naming the array, if one of those buckets holds a negative count.
     """
     cfg = state.config
     flat = np.flatnonzero(np.logical_or(state.tp_buckets, state.fp_buckets))[::-1]
     tp, fp = np.take(state.tp_buckets, flat), np.take(state.fp_buckets, flat)
+    _nonnegative(tp_buckets=tp, fp_buckets=fp)
     ap = cell_aps(cfg, state.gt_counts, flat // cfg.buckets, tp, fp)
     return metric_report(cfg, state.gt_counts, state.tp_totals, ap)
 
 
-def _finalize_entries(config: EvalConfig, entries: dict) -> MetricReport:
-    """finalize of the state whose arrays hold entries[name] = (flat
-    indices, counts), as _read_entries returns them, with no dense state;
-    the report is bit-identical to finalize's.
+def _nonnegative(**counts: np.ndarray) -> None:
+    """ValueError naming the first state array, among name=counts, that
+    has a negative count in counts."""
+    for name, values in counts.items():
+        if values.min(initial=0) < 0:
+            raise ValueError(f"negative counter in state array {name}")
 
-    The PR points are the union of the occupied TP and FP buckets: their
-    increasing flat indices, reversed, so each cell's buckets form one run,
-    highest first.
+
+def _points(config: EvalConfig, entries: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, tp, fp) of every occupied histogram bucket, from entries as
+    _read_entries returns them: det_buckets' keys, offset into the
+    tp_buckets grid once per IoU threshold, so in increasing order, with
+    their TP counts and FP = det - TP. tp > 0 implies det > 0, so these are
+    the buckets where the dense state's tp_buckets or fp_buckets is
+    non-zero. The work follows |Theta| times the det entries, not the grid."""
+    det_idx, det = entries["det_buckets"]
+    n_t = len(config.iou_thresholds)
+    size = math.prod(_snapshot_shapes(config)["det_buckets"])
+    keys = (np.arange(n_t)[:, None] * size + det_idx).reshape(-1)
+    tp = np.zeros(len(keys), dtype=np.int64)
+    tp[np.searchsorted(keys, entries["tp_buckets"][0])] = entries["tp_buckets"][1]
+    return keys, tp, np.tile(det, n_t) - tp
+
+
+def _finalize_entries(config: EvalConfig, entries: dict) -> MetricReport:
+    """finalize of the state whose snapshot arrays hold entries[name] =
+    (flat indices, counts), as _read_entries returns them, with no dense
+    state; the report is bit-identical to finalize's.
+
+    The PR points are those of _points: their increasing flat indices,
+    reversed, so each cell's buckets form one run, highest first.
     """
     shapes = _array_shapes(config)
     gt_counts = _dense(shapes["gt_counts"], entries["gt_counts"])
-    flat, tp, fp = _join(entries["tp_buckets"], entries["fp_buckets"])
-    ap = cell_aps(config, gt_counts, flat[::-1] // config.buckets, tp[::-1], fp[::-1])
+    keys, tp, fp = _points(config, entries)
+    ap = cell_aps(config, gt_counts, keys[::-1] // config.buckets, tp[::-1], fp[::-1])
     return metric_report(config, gt_counts, _dense(shapes["tp_totals"], entries["tp_totals"]), ap)
 
 
 # -- state snapshot serialization -----------------------------------------
 #
 # Layout: one JSON header line, byte for byte as _header builds it (format
-# and config, sorted keys), then for each array in _array_shapes order its
-# number n of non-zero counters, its n flat C-order indices, strictly
-# increasing, and their n counts, each >= 1; all little-endian int64. The
+# and config, sorted keys), then for each array in _snapshot_shapes order
+# (tp_buckets, det_buckets, tp_totals, gt_counts) its number n of non-zero
+# counters, its n flat C-order indices, strictly increasing, and their n
+# counts, each >= 1; all little-endian int64. The
 # config alone fixes each array's name and shape, so equal configs give
 # equal header lines. Only non-zero counters are stored and equal states
 # give equal bytes, so merge outputs are grouping-independent and
-# single-input merges are copies.
+# single-input merges are copies. det_buckets holds each bucket's TP + FP
+# count once, where the state's fp_buckets repeats it |Theta| times less
+# the TPs; load_state takes FP = det - TP.
 
-_MAGIC = "cocostream-state/4"
+_MAGIC = "cocostream-state/5"
 
 
 def _header(config: EvalConfig) -> bytes:
@@ -441,13 +486,59 @@ def _header(config: EvalConfig) -> bytes:
 
 
 def save_state(state: BucketedState, fp: BinaryIO) -> None:
-    """Write the state's canonical snapshot (format cocostream-state/4): the
-    config's header line, then per array only its non-zero counters, so
-    equal states give equal bytes. load_state reads it back. fp must be a
-    binary stream; a text stream, or an object that is no stream, raises
-    ValueError before a byte is written."""
-    entries = {name: _nonzero(getattr(state, name)) for name in _array_shapes(state.config)}
-    _write_entries(fp, state.config, entries)
+    """Write the state's canonical snapshot (format cocostream-state/5): the
+    config's header line, then per snapshot array only its non-zero
+    counters, so equal states give equal bytes. load_state reads it back.
+
+    Writes only a state that load_state gives back as it is: else raises
+    ValueError, naming the array, before a byte is written. Each array must
+    be an int64 ndarray of the config's shape with no negative counter,
+    each bucket's TP + FP count must be the same at every IoU threshold,
+    and the entries must pass _check_entries. fp must be a binary stream;
+    a text stream, or an object that is no stream, raises ValueError before
+    a byte is written."""
+    config = state.config
+    for name, shape in _array_shapes(config).items():
+        array = getattr(state, name)
+        if not (isinstance(array, np.ndarray) and array.dtype == np.int64 and array.shape == shape):
+            got = f"{array.dtype} {array.shape}" if isinstance(array, np.ndarray) else type(array)
+            raise ValueError(f"state array {name}: expected int64 of shape {shape}, got {got}")
+    tp, fps = _nonzero(state.tp_buckets), _nonzero(state.fp_buckets)
+    _nonnegative(tp_buckets=tp[1], fp_buckets=fps[1])
+    entries = {
+        "tp_buckets": tp,
+        "det_buckets": _det_entries(config, tp, fps),
+        "tp_totals": _nonzero(state.tp_totals),
+        "gt_counts": _nonzero(state.gt_counts),
+    }
+    _check_entries(config, entries, "state")
+    _write_entries(fp, config, entries)
+
+
+def _det_entries(config: EvalConfig, tp, fps) -> tuple[np.ndarray, np.ndarray]:
+    """The det_buckets entries of a state whose tp_buckets and fp_buckets
+    hold the entries tp and fps, both >= 0: each bucket's TP + FP count,
+    taken at the first IoU threshold. Raises ValueError, naming both
+    arrays, if a bucket's TP + FP is outside int64 or another threshold's
+    occupied buckets or counts differ."""
+    keys, tp_counts, fp_counts = _join(tp, fps)
+    det = tp_counts + fp_counts  # both >= 0, so a sum past int64 wraps negative
+    if (det < 0).any():
+        raise ValueError(
+            "state arrays tp_buckets and fp_buckets: a bucket's TP + FP count is outside int64"
+        )
+    n_t = len(config.iou_thresholds)
+    theta, local = np.divmod(keys, math.prod(_snapshot_shapes(config)["det_buckets"]))
+    per_theta = np.bincount(theta, minlength=n_t)
+    n = per_theta[0]
+    if (per_theta != n).any() or (local.reshape(n_t, n) != local[:n]).any() or (
+        (det.reshape(n_t, n) != det[:n]).any()
+    ):
+        raise ValueError(
+            "state arrays tp_buckets and fp_buckets: a bucket's TP + FP count"
+            " differs between IoU thresholds"
+        )
+    return local[:n], det[:n]
 
 
 def _write_entries(fp: BinaryIO, config: EvalConfig, entries: dict) -> None:
@@ -494,6 +585,8 @@ def load_state(fp: BinaryIO) -> BucketedState:
     before the state is allocated.
     """
     config, entries = _read_entries(fp)
+    keys, _, fps = _points(config, entries)
+    entries["fp_buckets"] = keys, fps  # a zero count writes a zero: no grid-wide pass
     return BucketedState(
         config, **{n: _dense(shape, entries[n]) for n, shape in _array_shapes(config).items()}
     )
@@ -534,20 +627,16 @@ def _read_entries(fp: BinaryIO) -> tuple[EvalConfig, dict[str, tuple[np.ndarray,
     """Read and check a whole snapshot without building its state.
 
     Returns its config and, per array in snapshot order, the (flat indices,
-    counts) it stores: indices strictly increasing, counts >= 1. As in any
-    state that matching gives, in each (theta, class, area) cell, the last
-    column of tp_totals is the exact sum of the cell's tp_buckets counts,
-    tp_totals does not decrease along max-dets, and it never exceeds
-    gt_counts; so every recall lies in [0, 1]. Raises ValueError, naming
-    the array, for any other snapshot.
+    counts) it stores: indices strictly increasing, and entries that pass
+    _check_entries. Raises ValueError, naming the array, for any other
+    snapshot.
     """
     read = getattr(fp, "read", None)
     if read is None or isinstance(read(0), str):  # reads nothing; a text stream gives str
         raise _not_binary(fp)
     config = _header_config(bytes(fp.readline()))  # a hashable key, no caller's buffer
-    shapes = _array_shapes(config)
     entries = {}
-    for name, shape in shapes.items():
+    for name, shape in _snapshot_shapes(config).items():
         size = _counters(f"snapshot array {name}", shape)
         n = np.empty(1, dtype="<i8")
         _transfer(fp.readinto, n, f"truncated snapshot while reading {name} count")
@@ -561,30 +650,56 @@ def _read_entries(fp: BinaryIO) -> tuple[EvalConfig, dict[str, tuple[np.ndarray,
             raise ValueError(
                 f"snapshot array {name}: indices must be strictly increasing in [0, {size})"
             )
-        low = counts.min(initial=1)
-        if low < 0:
-            raise ValueError(f"negative counter in snapshot array {name}")
-        if low == 0:
-            raise ValueError(f"non-canonical snapshot: stored zero counter in array {name}")
         entries[name] = idx, counts
     if fp.read(1):
         raise ValueError("trailing bytes after snapshot arrays")
+    _check_entries(config, entries, "snapshot")
+    return config, entries
+
+
+def _check_entries(config: EvalConfig, entries: dict, kind: str) -> None:
+    """Check the snapshot entries of config, as _read_entries returns them,
+    against what matching gives; raise ValueError, naming the kind
+    ("snapshot" or "state") and the array, for any other entries.
+
+    Every count is >= 1. As in any state that matching gives, in each
+    (theta, class, area) cell, the last column of tp_totals is the exact
+    sum of the cell's tp_buckets counts, tp_totals does not decrease along
+    max-dets, and it never exceeds gt_counts; so every recall lies in
+    [0, 1]. At every IoU threshold, a bucket's TP count is at most its
+    det_buckets count, so every FP count is >= 0.
+    """
+    for name, (_, counts) in entries.items():
+        low = counts.min(initial=1)
+        if low < 0:
+            raise ValueError(f"negative counter in {kind} array {name}")
+        if low == 0:
+            raise ValueError(f"non-canonical snapshot: stored zero counter in array {name}")
+    shapes = _snapshot_shapes(config)
     totals = _dense(shapes["tp_totals"], entries["tp_totals"])
     top = totals[..., -1].reshape(-1)
-    cell, counts = entries["tp_buckets"][0] // config.buckets, entries["tp_buckets"][1]
+    tp_idx, tp = entries["tp_buckets"]
+    cell = tp_idx // config.buckets
     sums = np.zeros_like(top)
-    np.add.at(sums, cell, counts)
+    np.add.at(sums, cell, tp)
     # np.add.at wraps silently; a wrapped sum that equals top (< 2**63) has
     # a true sum >= 2**64, which the float64 sum shows well past 1.5 * 2**63.
-    if (sums != top).any() or (np.bincount(cell, counts, len(top)) >= 3.0 * 2**62).any():
+    if (sums != top).any() or (np.bincount(cell, tp, len(top)) >= 3.0 * 2**62).any():
         raise ValueError(
-            "snapshot array tp_totals: its last max-dets column is not the sum of tp_buckets"
+            f"{kind} array tp_totals: its last max-dets column is not the sum of tp_buckets"
         )
     if (np.diff(totals, axis=-1) < 0).any():
-        raise ValueError("snapshot array tp_totals: a count decreases along max-dets")
+        raise ValueError(f"{kind} array tp_totals: a count decreases along max-dets")
     if (totals > _dense(shapes["gt_counts"], entries["gt_counts"])[..., None]).any():
-        raise ValueError("snapshot array tp_totals: a count exceeds its gt_counts")
-    return config, entries
+        raise ValueError(f"{kind} array tp_totals: a count exceeds its gt_counts")
+    # Each TP key's det count, 0 where det_buckets has no entry: a key past
+    # the last det key finds the appended -1, which no key equals.
+    local = tp_idx % math.prod(shapes["det_buckets"])
+    det_idx, det = entries["det_buckets"]
+    at = np.searchsorted(det_idx, local)
+    held = np.where(np.append(det_idx, -1)[at] == local, np.append(det, 0)[at], 0)
+    if (held < tp).any():
+        raise ValueError(f"{kind} array det_buckets: a count is below a tp_buckets count")
 
 
 def _add_entries(a: dict, b: dict) -> dict:

@@ -63,6 +63,7 @@ HEADER_BYTE = STREAMING + (
 HUGE_CLASS_ID = "tests/test_matching.py::TestMatchImage::" + (
     "test_class_id_past_int64_is_a_matching_error"
 )
+SAVE = STREAMING + "TestSaveStateRejects::"
 
 MUTANTS = (
     Mutant(
@@ -104,7 +105,7 @@ MUTANTS = (
     Mutant(
         "reader without the wrapped-sum check",
         "streaming.py",
-        " or (np.bincount(cell, counts, len(top)) >= 3.0 * 2**62).any()",
+        " or (np.bincount(cell, tp, len(top)) >= 3.0 * 2**62).any()",
         "",
         (CORRUPT,
          CLI_DAMAGE + "[wrapped bucket sum-merge]",
@@ -210,8 +211,8 @@ MUTANTS = (
     Mutant(
         "_finalize_entries runs in increasing bucket order",
         "streaming.py",
-        "flat[::-1] // config.buckets, tp[::-1], fp[::-1]",
-        "flat // config.buckets, tp, fp",
+        "keys[::-1] // config.buckets, tp[::-1], fp[::-1]",
+        "keys // config.buckets, tp, fp",
         (STREAMING + "test_finalize_entries_of_a_snapshot_equals_finalize",),
     ),
     Mutant(
@@ -231,8 +232,8 @@ MUTANTS = (
     Mutant(
         "histogram index taken mod 2**32",
         "streaming.py",
-        "flat = _cells(matches) * buckets + bucket_index",
-        "flat = (_cells(matches) * buckets) % 2**32 + bucket_index",
+        "return _cells(matches) * buckets + bucket_index",
+        "return (_cells(matches) * buckets) % 2**32 + bucket_index",
         (DIFF + "test_kept_indices_equal_a_per_verdict_ravel",),
     ),
     Mutant(
@@ -319,6 +320,60 @@ MUTANTS = (
         (HUGE_CLASS_ID + "[det-9223372036854775808]",
          HUGE_CLASS_ID + "[gt-1180591620717411303424]",
          HUGE_CLASS_ID + "[gt-np.uint64(9223372036854775808)]"),
+    ),
+    Mutant(
+        "reader without the det >= tp check",
+        "streaming.py",
+        "if (held < tp).any():",
+        "if False:",
+        (CORRUPT,),
+    ),
+    Mutant(
+        "FP taken as det in _finalize_entries",
+        "streaming.py",
+        "    keys, tp, fp = _points(config, entries)\n",
+        "    keys, tp, fp = _points(config, entries)\n    fp = fp + tp\n",
+        (DIFF + "test_match_entries_equal_the_dense_state",
+         STREAMING + "test_finalize_entries_of_a_snapshot_equals_finalize"),
+    ),
+    Mutant(
+        "FP taken as det in load_state",
+        "streaming.py",
+        "return keys, tp, np.tile(det, n_t) - tp",
+        "return keys, tp, np.tile(det, n_t)",
+        (DIFF + "test_det_snapshot_gives_back_the_dense_state",
+         STREAMING + "test_snapshot_round_trip_is_lossless_canonical_and_adds_in_place"),
+    ),
+    Mutant(
+        "save_state without the cross-threshold check",
+        "streaming.py",
+        "    if (per_theta != n).any() or (local.reshape(n_t, n) != local[:n]).any() or (\n"
+        "        (det.reshape(n_t, n) != det[:n]).any()\n"
+        "    ):\n",
+        "    if False:\n",
+        (SAVE + "test_tp_plus_fp_differs_between_thresholds[bucket]",
+         SAVE + "test_tp_plus_fp_differs_between_thresholds[count]"),
+    ),
+    Mutant(
+        "save_state without the shape check",
+        "streaming.py",
+        "array.dtype == np.int64 and array.shape == shape):",
+        "array.dtype == np.int64):",
+        (SAVE + "test_short_bucket_axis",),
+    ),
+    Mutant(
+        "save_state lets a TP + FP past int64 wrap",
+        "streaming.py",
+        "    if (det < 0).any():\n",
+        "    if False:\n",
+        (SAVE + "test_tp_plus_fp_past_int64",),
+    ),
+    Mutant(
+        "finalize without the negative-count check",
+        "streaming.py",
+        "    _nonnegative(tp_buckets=tp, fp_buckets=fp)\n",
+        "",
+        (STREAMING + "test_finalize_names_a_negative_counter",),
     ),
 )
 

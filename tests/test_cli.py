@@ -8,7 +8,7 @@ import pytest
 
 from cocostream import EvalConfig, finalize, load_state, new_state, save_state, update
 from cocostream.cli import main
-from cocostream.streaming import _header
+from cocostream.streaming import _header, _nonzero, _write_entries
 
 from conftest import GOLDEN_METRICS, random_dataset
 
@@ -527,7 +527,8 @@ class TestBadInputExitsCleanly:
         elif damage == "unallocatable count":  # a canonical header, then a count of petabytes
             config = EvalConfig(num_classes=1, buckets=2**40)
             data = _header(config) + (40 * 2**40).to_bytes(8, "little")
-        else:  # TP counts that no matches give, in a canonical snapshot
+        else:  # TP counts that no matches give, in a canonical snapshot that
+            # save_state, which checks them, would not write
             with good.open("rb") as fh:
                 state = load_state(fh)
             gt = state.gt_counts[0, 0]
@@ -540,8 +541,14 @@ class TestBadInputExitsCleanly:
                 state.tp_buckets[0, 0, 0, 0, 0] += gt + 1
                 if damage == "recall above 1":
                     state.tp_totals[0, 0, 0] += gt + 1
+            arrays = {
+                "tp_buckets": state.tp_buckets,
+                "det_buckets": (state.tp_buckets + state.fp_buckets)[0],  # first threshold's
+                "tp_totals": state.tp_totals,
+                "gt_counts": state.gt_counts,
+            }
             buf = io.BytesIO()
-            save_state(state, buf)
+            _write_entries(buf, state.config, {n: _nonzero(a) for n, a in arrays.items()})
             data = buf.getvalue()
         bad = tmp_path / "bad.state"
         bad.write_bytes(data)

@@ -18,7 +18,9 @@ ties, and ground-truth pairs mirrored about a detection's box tie in IoU.
 
 import io
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -39,12 +41,14 @@ from cocostream import (
     evaluate_exact,
     finalize,
     interpolate_ap,
+    load_state,
     new_state,
     perturb,
     save_state,
     update,
 )
 from cocostream import matching, oracle
+from cocostream.cli import main
 from cocostream.matching import match_batch, match_image
 from cocostream.oracle import exact_report
 from cocostream.streaming import _finalize_entries, _match_entries, _write_entries, add_matches
@@ -410,23 +414,62 @@ def test_match_entries_equal_the_dense_state(config, batch):
     assert _bits(_finalize_entries(config, entries)) == _bits(finalize(state))
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    config=st.builds(
+        replace,
+        entry_configs,
+        iou_thresholds=st.sampled_from([(0.5,), (0.5, 0.75), (0.1, 0.75, 1.0)]),
+    ),
+    shards=st.lists(
+        st.lists(st.one_of(images, tied_images, padding_images, no_gt_images), max_size=3),
+        min_size=1,
+        max_size=4,
+    ),
+)
+def test_det_snapshot_gives_back_the_dense_state(config, shards):
+    # A snapshot stores one TP + FP count per (class, area, bucket) for all
+    # thresholds; load_state rebuilds every threshold's FP counts from it,
+    # and the CLI's merge of shard snapshots is the snapshot of the whole.
+    matches = match_batch([image for shard in shards for image in shard], config)
+    state = add_matches(new_state(config), matches)
+    blob = io.BytesIO()
+    save_state(state, blob)
+    loaded = load_state(io.BytesIO(blob.getvalue()))
+    for name in ("tp_buckets", "fp_buckets", "tp_totals", "gt_counts"):
+        np.testing.assert_array_equal(getattr(loaded, name), getattr(state, name))
+    assert _bits(_finalize_entries(config, _match_entries(matches))) == _bits(finalize(state))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp) / f"shard{i}.state" for i in range(len(shards))]
+        for shard, path in zip(shards, paths):
+            with path.open("wb") as fh:
+                save_state(update(new_state(config), shard), fh)
+        out = Path(tmp) / "merged.state"
+        assert main(["merge", *map(str, paths), "--output", str(out)]) == 0
+        assert out.read_bytes() == blob.getvalue()
+
+
 def _per_verdict_entries(matches):
-    """(unique flat indices, counts) of the TP and of the FP verdicts kept at
-    the largest limit, in the (theta, class, area, 1, bucket) histogram grid,
+    """(unique flat indices, counts) of the TP verdicts kept at the largest
+    limit, in the (theta, class, area, 1, bucket) histogram grid, of the
+    detections kept there, in the (class, area, bucket) det_buckets grid,
     and of the TP verdicts kept by each limit, in the (theta, class, area,
     limit) tp_totals grid; one np.ravel_multi_index per verdict."""
     config = matches.config
     cells = (len(config.iou_thresholds), config.num_classes, len(config.area_ranges))
     hist_shape, totals_shape = (*cells, 1, config.buckets), (*cells, len(config.max_dets_list))
+    det_shape = (*cells[1:], config.buckets)
     flat = ([], [], [])
     for j, rank in enumerate(matches.rank):
         b = bucket_index(float(matches.confidences[j]), config.buckets)
         kept_by = [m for m, limit in enumerate(config.max_dets_list) if rank < limit]
+        kept = rank < config.max_dets_list[-1]
+        if kept:
+            flat[1].append(np.ravel_multi_index((matches.cls[j], matches.area[j], b), det_shape))
         for t in range(len(config.iou_thresholds)):
             cell = (t, matches.cls[j], matches.area[j])
-            if rank < config.max_dets_list[-1]:
-                index = np.ravel_multi_index((*cell, 0, b), hist_shape)
-                flat[not matches.tp[t, j]].append(index)
+            if kept and matches.tp[t, j]:
+                flat[0].append(np.ravel_multi_index((*cell, 0, b), hist_shape))
             if matches.tp[t, j]:
                 flat[2].extend(np.ravel_multi_index((*cell, m), totals_shape) for m in kept_by)
     return [np.unique(np.array(f, dtype=np.int64), return_counts=True) for f in flat]
@@ -450,7 +493,7 @@ def test_kept_indices_equal_a_per_verdict_ravel(config, batch):
     matches = match_batch(batch, config)
     entries = _match_entries(matches)
     want = _per_verdict_entries(matches)
-    for name, (idx, counts) in zip(("tp_buckets", "fp_buckets", "tp_totals"), want):
+    for name, (idx, counts) in zip(("tp_buckets", "det_buckets", "tp_totals"), want):
         np.testing.assert_array_equal(entries[name][0], idx)
         np.testing.assert_array_equal(entries[name][1], counts)
     # The oracle's recall totals are the same tp_totals.

@@ -221,7 +221,14 @@ class TestUpdate:
         at = int(flat.argmax())
         assert flat[at] == 2
         state = new_state(small_config)
-        getattr(state, name).flat[at] = 2**63 - 3 + (0 if fits else 1)
+        edge = 2**63 - 3 + (0 if fits else 1)
+        if name == "fp_buckets":
+            # A bucket's TP + FP count is the same at every IoU threshold,
+            # and this bucket's detections are FPs at every threshold.
+            _, *bucket = np.unravel_index(at, state.fp_buckets.shape)
+            state.fp_buckets[(slice(None), *bucket)] = edge
+        else:
+            getattr(state, name).flat[at] = edge
         if not name.startswith("tp_"):
             # A snapshot holds no TP count above its gt_counts, so only these
             # two arrays can be pushed to the edge in a valid snapshot's state.
@@ -492,9 +499,9 @@ class TestSnapshot:
         ])
         buf = io.BytesIO()
         save_state(state, buf)
-        assert len(buf.getvalue()) == 1473
+        assert len(buf.getvalue()) == 1457
         assert hashlib.sha256(buf.getvalue()).hexdigest() == (
-            "0942e8c116d718a3549ed459de959f9e9a9594beca687dfb3e9972f5441ec85e"
+            "c4741af298a84048316cfb677aea7763e1dac0c155315908d99294de69a49a1c"
         )
 
     def test_header_is_the_config_alone(self, small_config):
@@ -629,13 +636,17 @@ SNAPSHOT_CONFIGS = (
 def states(draw, config, high=2**61):
     """A state of config that a snapshot can hold: all zero, one array full,
     or a random few counters per array, with counts below high; below 2**61,
-    four states still add exactly. A cell's TP counts sum into tp_totals and
-    gt_counts, so each is below high over the most a cell can hold; tp_totals
-    then rises at random to that sum, and gt_counts is raised to it."""
+    four states still add exactly. The arrays drawn are tp_buckets, det (a
+    bucket's TP + FP count, the same at every IoU threshold) and gt_counts;
+    det is raised to the bucket's largest TP count, and fp_buckets is det
+    less the TPs. A cell's TP counts sum into tp_totals and gt_counts, so
+    each is below high over the most a cell can hold; tp_totals then rises
+    at random to that sum, and gt_counts is raised to it."""
     state = new_state(config)
+    det = np.zeros_like(state.tp_buckets[0, :, :, 0])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     fill = draw(st.sampled_from(["zero", "full", "sparse"]))
-    arrays = [a.reshape(-1) for a in (state.tp_buckets, state.fp_buckets, state.gt_counts)]
+    arrays = [a.reshape(-1) for a in (state.tp_buckets, det, state.gt_counts)]
     tp_high = {"full": high // config.buckets, "sparse": high // 64}.get(fill)
     if fill == "full":
         flat = draw(st.sampled_from([a for a in arrays if a.size <= 10_000]))
@@ -645,6 +656,8 @@ def states(draw, config, high=2**61):
             k = draw(st.integers(0, min(flat.size, 64)))
             counts = rng.integers(1, tp_high if flat is arrays[0] else high, size=k)
             flat[rng.choice(flat.size, size=k, replace=False)] = counts
+    state.fp_buckets[:, :, :, 0] = np.maximum(det, state.tp_buckets.max(axis=(0, 3)))
+    state.fp_buckets -= state.tp_buckets
     top = state.tp_buckets.sum(axis=(-2, -1))[..., None]
     lower = rng.integers(0, top + 1, size=(*top.shape[:-1], len(config.max_dets_list) - 1))
     state.tp_totals[...] = np.sort(np.concatenate((lower, top), axis=-1), axis=-1)
@@ -673,8 +686,9 @@ def test_snapshot_round_trip_is_lossless_canonical_and_adds_in_place(data):
     # snapshot of the dense sum
     (config_a, a), (config_b, b) = (_read_entries(io.BytesIO(x)) for x in (_snapshot(acc), blob))
     assert config_a.to_dict() == config_b.to_dict() == config.to_dict()
+    det = (state.tp_buckets + state.fp_buckets)[0, :, :, 0]  # the same at every threshold
     for name, (idx, counts) in b.items():
-        values = getattr(state, name).reshape(-1)
+        values = (det if name == "det_buckets" else getattr(state, name)).reshape(-1)
         np.testing.assert_array_equal(idx, np.flatnonzero(values))
         np.testing.assert_array_equal(counts, values[idx])
     summed = io.BytesIO()
@@ -790,7 +804,7 @@ class TestLoadStateRejects:
         each array block is its entry count, its indices, then its counts."""
         header, _ = self.snapshot()
         body = b""
-        for name in ("tp_buckets", "fp_buckets", "tp_totals", "gt_counts"):
+        for name in ("tp_buckets", "det_buckets", "tp_totals", "gt_counts"):
             indices, counts = entries.get(name, ([], []))
             body += np.array([len(indices), *indices, *counts], "<i8").tobytes()
         return header, body
@@ -817,10 +831,10 @@ class TestLoadStateRejects:
         return err
 
     def test_raw_snapshot_loads(self):
-        entries = {"tp_buckets": ([1, 3], [2, 5]), "tp_totals": ([0], [7])}
-        state = self.load(*self.raw(**entries, gt_counts=([0], [7])))
+        entries = {"tp_buckets": ([1, 3], [2, 5]), "det_buckets": ([0, 1, 3], [4, 2, 6])}
+        state = self.load(*self.raw(**entries, tp_totals=([0], [7]), gt_counts=([0], [7])))
         assert state.tp_buckets.ravel().tolist() == [0, 2, 0, 5]
-        assert not state.fp_buckets.any()
+        assert state.fp_buckets.ravel().tolist() == [4, 0, 0, 1]
         assert state.tp_totals.ravel().tolist() == [7]
         assert state.gt_counts.tolist() == [[7]]
 
@@ -829,8 +843,8 @@ class TestLoadStateRejects:
         ids=["unsorted", "duplicate", "past-the-end", "negative"],
     )
     def test_bad_indices(self, indices):
-        header, body = self.raw(fp_buckets=(indices, [1, 1]))
-        with pytest.raises(ValueError, match="fp_buckets: indices must be strictly increasing"):
+        header, body = self.raw(det_buckets=(indices, [1, 1]))
+        with pytest.raises(ValueError, match="det_buckets: indices must be strictly increasing"):
             self.load(header, body)
 
     def test_grid_size_past_int64(self, tmp_path, capsys):
@@ -862,8 +876,9 @@ class TestLoadStateRejects:
 
     def test_dense_v1_snapshot(self):
         # and format 2, whose histograms had a max-dets axis and no
-        # tp_totals, and format 3, whose header listed each array's count
-        for version in ("cocostream-state/1", "cocostream-state/2", "cocostream-state/3"):
+        # tp_totals, format 3, whose header listed each array's count, and
+        # format 4, which stored fp_buckets per IoU threshold
+        for version in [f"cocostream-state/{v}" for v in (1, 2, 3, 4)]:
             header, body = self.snapshot()
             header["format"] = version
             error = re.escape(f"unsupported snapshot format: '{version}'")
@@ -898,12 +913,21 @@ class TestLoadStateRejects:
                 {"tp_totals": ([0], [7]), "gt_counts": ([0], [2])},
                 "tp_totals: a count exceeds its gt_counts",
             ),
+            (  # 4 detections in bucket 3, 5 of them TPs
+                {"det_buckets": ([0, 1, 3], [1, 2, 4]), "tp_totals": ([0], [7]),
+                 "gt_counts": ([0], [7])},
+                "det_buckets: a count is below a tp_buckets count",
+            ),
+            (  # no detection in bucket 1, which holds 2 TPs
+                {"det_buckets": ([0, 3], [1, 5]), "tp_totals": ([0], [7]), "gt_counts": ([0], [7])},
+                "det_buckets: a count is below a tp_buckets count",
+            ),
         ],
     )
     def test_corrupt_last_array_leaves_into_unchanged(self, tmp_path, capsys, entries, error):
         dets = [make_det(), make_det(confidence=0.1)]
         acc = update(new_state(self.CONFIG), [(dets, [make_gt()])])
-        entries = {"tp_buckets": ([1, 3], [2, 5]), "fp_buckets": ([0], [1]), **entries}
+        entries = {"tp_buckets": ([1, 3], [2, 5]), "det_buckets": ([0, 1, 3], [1, 2, 5]), **entries}
         header, body = self.raw(**entries)
         with pytest.raises(ValueError, match=error):
             _read_entries(io.BytesIO(self.data(header, body)))
@@ -967,11 +991,10 @@ class TestLoadStateRejects:
         with pytest.raises(ValueError, match=f"do not match: .* near byte {k},"):
             load_state(io.BytesIO(data))
 
-    def test_negative_counter(self):
-        state = new_state(self.CONFIG)
-        state.gt_counts[0, 0] = -1
-        header, body = self.snapshot(state)
-        with pytest.raises(ValueError, match="negative counter in snapshot array gt_counts"):
+    @pytest.mark.parametrize("name", ["tp_buckets", "det_buckets", "tp_totals", "gt_counts"])
+    def test_negative_counter(self, name):
+        header, body = self.raw(**{name: ([0], [-1])})
+        with pytest.raises(ValueError, match=f"negative counter in snapshot array {name}"):
             self.load(header, body)
 
     @pytest.mark.parametrize("key", ["config"])
@@ -990,6 +1013,76 @@ class TestLoadStateRejects:
     def test_header_not_an_object(self):
         with pytest.raises(ValueError, match="not a JSON object"):
             load_state(io.BytesIO(b"[1, 2]\n"))
+
+
+class TestSaveStateRejects:
+    """save_state writes only a state that load_state gives back as it is,
+    and writes no byte of any other."""
+
+    CONFIG = EvalConfig(num_classes=2, buckets=10)
+
+    def fails(self, state, error: str) -> None:
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match=re.escape(error)):
+            save_state(state, buf)
+        assert buf.getvalue() == b""
+
+    def test_short_bucket_axis(self):
+        # flat indices of a 5-bucket axis read back under 10 buckets: a count
+        # set at [0, 1, 0, 0, 4] used to load back at [0, 0, 2, 0, 4]
+        state = update(new_state(self.CONFIG), random_dataset(3, n_images=2, num_classes=2))
+        state.fp_buckets = np.zeros((10, 2, 4, 1, 5), dtype=np.int64)
+        state.fp_buckets[:, 1, 0, 0, 4] = 1
+        self.fails(state, "state array fp_buckets: expected int64 of shape (10, 2, 4, 1, 10)")
+
+    def test_float_counter(self):
+        # 0.5 used to be written as a stored 0, which load_state rejects
+        state = new_state(self.CONFIG)
+        state.tp_buckets = state.tp_buckets.astype(float)
+        state.tp_buckets[0, 0, 0, 0, 3] = 0.5
+        self.fails(state, "state array tp_buckets: expected int64 of shape")
+
+    @pytest.mark.parametrize("name", ["tp_buckets", "fp_buckets", "tp_totals", "gt_counts"])
+    def test_negative_counter(self, name):
+        # used to be written, then rejected by load_state
+        state = new_state(self.CONFIG)
+        getattr(state, name)[0, 0] = -1
+        self.fails(state, f"negative counter in state array {name}")
+
+    @pytest.mark.parametrize("others", [0, 2], ids=["bucket", "count"])
+    def test_tp_plus_fp_differs_between_thresholds(self, others):
+        # one FP at the first threshold, and `others` at the rest: a
+        # snapshot holds one detection count per bucket for all of them
+        state = new_state(self.CONFIG)
+        state.fp_buckets[:, 0, 0, 0, 3] = others
+        state.fp_buckets[0, 0, 0, 0, 3] = 1
+        self.fails(state, "a bucket's TP + FP count differs between IoU thresholds")
+
+    def test_tp_plus_fp_past_int64(self):
+        # each array in range, as merge checks them, but the bucket's
+        # detection count, which a snapshot stores, is 2**63
+        state = new_state(self.CONFIG)
+        state.tp_buckets[:, 0, 0, 0, 3] = state.fp_buckets[:, 0, 0, 0, 3] = 2**62
+        self.fails(
+            state,
+            "state arrays tp_buckets and fp_buckets: a bucket's TP + FP count is outside int64",
+        )
+
+    def test_tp_totals_not_the_bucket_sum(self):
+        # the reader's checks run on what the writer would write
+        state = new_state(self.CONFIG)
+        state.tp_buckets[:, 0, 0, 0, 3] = 1
+        state.gt_counts[0, 0] = 1
+        self.fails(state, "state array tp_totals: its last max-dets column is not the sum")
+
+
+def test_finalize_names_a_negative_counter():
+    # a negative count used to surface as a cell total past 2**63
+    for name in ("tp_buckets", "fp_buckets"):
+        state = new_state(TestLoadStateRejects.CONFIG)
+        getattr(state, name)[0, 0, 0, 0, 3] = -1
+        with pytest.raises(ValueError, match=f"negative counter in state array {name}"):
+            finalize(state)
 
 
 class TestHeaderMemo:
@@ -1057,11 +1150,19 @@ class TestCellTotalBound:
 
     def snapshot(self, fp_counts) -> bytes:
         """One TP at confidence 0.1 (bucket 0) and one ground truth, under
-        FP buckets holding fp_counts and ending at the top bucket."""
+        FP buckets holding fp_counts and ending at the top bucket; each
+        bucket's det count is its TP + FP count."""
         one = np.array([0]), np.array([1])
-        fp = np.arange(4 - len(fp_counts), 4), np.array(fp_counts)
+        det = np.zeros(4, dtype=np.int64)
+        det[4 - len(fp_counts) :] = fp_counts
+        det[0] += 1
         buf = io.BytesIO()
-        entries = {"tp_buckets": one, "fp_buckets": fp, "tp_totals": one, "gt_counts": one}
+        entries = {
+            "tp_buckets": one,
+            "det_buckets": (np.flatnonzero(det), det[det > 0]),
+            "tp_totals": one,
+            "gt_counts": one,
+        }
         _write_entries(buf, self.CONFIG, entries)
         return buf.getvalue()
 
