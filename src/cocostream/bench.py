@@ -47,18 +47,47 @@ def synthetic_runs(
     repeats: int,
     seed: int,
     params: PerturbationParams,
-) -> Iterator[tuple[int, int, Dataset, Dataset]]:
-    """Yield (n, run_index, sampled, synthetic) per image count and repeat.
+) -> Iterator[tuple[int, int, Dataset]]:
+    """Yield (n, run_index, synthetic) per image count and repeat, where
+    synthetic holds the sampled images with their ground truths and the
+    perturbed detections. Raises ValueError before the first draw if an
+    image count exceeds the dataset.
 
     One SeedSequence(seed) supplies two seeds per run, in run order: first
     the sampling seed, then the perturbation seed.
     """
+    for n in image_counts:
+        if n > len(ground_truth.images):
+            raise ValueError(
+                f"image count {n} exceeds dataset size {len(ground_truth.images)}"
+            )
     seeds = iter(np.random.SeedSequence(seed).generate_state(2 * len(image_counts) * repeats))
     for n in image_counts:
         for run in range(repeats):
             sampled = sample_images(ground_truth, n, seed=int(next(seeds)))
-            synthetic = perturb(sampled, replace(params, seed=int(next(seeds))))
-            yield n, run, sampled, synthetic
+            yield n, run, perturb(sampled, replace(params, seed=int(next(seeds))))
+
+
+def _score_run(config: EvalConfig, n: int, run: int, synthetic: Dataset) -> list[ErrorMarginRow]:
+    """One ErrorMarginRow per metric of one synthetic run, matched once."""
+    matches = match_batch(synthetic.pairs(), config)
+    sd = finalize(add_matches(new_state(config), matches)).as_dict()
+    ed = exact_report(matches).as_dict()
+    rows = []
+    for name in METRIC_NAMES:
+        sv, ev = sd[name], ed[name]
+        defined = sv != UNDEFINED and ev != UNDEFINED
+        rows.append(
+            ErrorMarginRow(
+                metric_name=name,
+                n_images=n,
+                run_index=run,
+                streaming_value=sv,
+                exact_value=ev,
+                abs_error=abs(sv - ev) if defined else UNDEFINED,
+            )
+        )
+    return rows
 
 
 def run_synth_bench(
@@ -70,31 +99,8 @@ def run_synth_bench(
     params: PerturbationParams | None = None,
 ) -> list[ErrorMarginRow]:
     """One ErrorMarginRow per (image count, run, metric)."""
-    for n in image_counts:
-        if n > len(ground_truth.images):
-            raise ValueError(
-                f"image count {n} exceeds dataset size {len(ground_truth.images)}"
-            )
     runs = synthetic_runs(ground_truth, image_counts, repeats, seed, params or PerturbationParams())
-    rows: list[ErrorMarginRow] = []
-    for n, run, _, synthetic in runs:
-        matches = match_batch(synthetic.pairs(), config)
-        sd = finalize(add_matches(new_state(config), matches)).as_dict()
-        ed = exact_report(matches).as_dict()
-        for name in METRIC_NAMES:
-            sv, ev = sd[name], ed[name]
-            defined = sv != UNDEFINED and ev != UNDEFINED
-            rows.append(
-                ErrorMarginRow(
-                    metric_name=name,
-                    n_images=n,
-                    run_index=run,
-                    streaming_value=sv,
-                    exact_value=ev,
-                    abs_error=abs(sv - ev) if defined else UNDEFINED,
-                )
-            )
-    return rows
+    return [row for run in runs for row in _score_run(config, *run)]
 
 
 def summarize(rows: Sequence[ErrorMarginRow]) -> list[MetricSummary]:

@@ -13,7 +13,7 @@ from functools import partial
 from pathlib import Path
 from typing import ContextManager, Iterable, TextIO
 
-from .bench import ErrorMarginRow, MetricSummary, run_synth_bench, summarize, synthetic_runs
+from .bench import ErrorMarginRow, MetricSummary, _score_run, summarize, synthetic_runs
 from .config import METRIC_LABELS, METRIC_NAMES, AreaRange, EvalConfig, MetricReport
 from .ingest import (
     PerturbationParams,
@@ -215,23 +215,16 @@ def _cmd_synth_bench(args: argparse.Namespace) -> int:
         scale_low=args.scale_low,
         scale_high=args.scale_high,
     )
-    rows = run_synth_bench(
-        gt,
-        config,
-        image_counts=args.image_counts,
-        repeats=args.repeats,
-        seed=args.seed,
-        params=params,
-    )
-
-    if args.emit_json:
-        emit_dir = Path(args.emit_json)
-        emit_dir.mkdir(parents=True, exist_ok=True)
-        runs = synthetic_runs(gt, args.image_counts, args.repeats, args.seed, params)
-        for n, run, sampled, synthetic in runs:
+    runs = synthetic_runs(gt, args.image_counts, args.repeats, args.seed, params)
+    rows: list[ErrorMarginRow] = []
+    for n, run, synthetic in runs:
+        rows += _score_run(config, n, run, synthetic)
+        if args.emit_json:
+            emit_dir = Path(args.emit_json)
+            emit_dir.mkdir(parents=True, exist_ok=True)
             stem = f"n{n}_run{run}"
             with open(emit_dir / f"{stem}_annotations.json", "w") as fh:
-                json.dump(dataset_to_annotation_doc(sampled), fh)
+                json.dump(dataset_to_annotation_doc(synthetic), fh)
             with open(emit_dir / f"{stem}_detections.json", "w") as fh:
                 json.dump(dataset_to_results_doc(synthetic), fh)
 

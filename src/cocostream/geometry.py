@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .config import _INTEGERS
+from .config import _INTEGERS, _is_number
 
 PADDING_CLASS_ID = -1
 
@@ -24,6 +24,9 @@ class BoundingBox:
 
     def __post_init__(self) -> None:
         for v in (self.left, self.top, self.right, self.bottom):
+            if type(v) is not float and not _is_number(v):  # a float is a number: skip the call
+                name = next(n for n, x in vars(self).items() if x is v)
+                raise ValueError(f"box {name} must be a real number, got {v!r}")
             if not math.isfinite(v):
                 raise ValueError(f"non-finite box coordinate: {self!r}")
         if self.right < self.left or self.bottom < self.top:
@@ -55,6 +58,8 @@ class Detection:
 
     def __post_init__(self) -> None:
         _check_class_id(self.class_id)
+        if type(self.confidence) is not float and not _is_number(self.confidence):
+            raise ValueError(f"confidence must be a real number, got {self.confidence!r}")
         if self.class_id != PADDING_CLASS_ID and not (0.0 <= self.confidence <= 1.0):
             raise ValueError(
                 f"confidence must lie in [0, 1], got {self.confidence}"

@@ -493,8 +493,9 @@ def save_state(state: BucketedState, fp: BinaryIO) -> None:
     Writes only a state that load_state gives back as it is: else raises
     ValueError, naming the array, before a byte is written. Each array must
     be an int64 ndarray of the config's shape with no negative counter,
-    each bucket's TP + FP count must be the same at every IoU threshold,
-    and the entries must pass _check_entries. fp must be a binary stream;
+    each bucket's TP + FP count, stored once as det_buckets from the first
+    IoU threshold, must be the same at every other threshold, and the
+    entries must pass _check_entries. fp must be a binary stream;
     a text stream, or an object that is no stream, raises ValueError before
     a byte is written."""
     config = state.config
@@ -505,40 +506,31 @@ def save_state(state: BucketedState, fp: BinaryIO) -> None:
             raise ValueError(f"state array {name}: expected int64 of shape {shape}, got {got}")
     tp, fps = _nonzero(state.tp_buckets), _nonzero(state.fp_buckets)
     _nonnegative(tp_buckets=tp[1], fp_buckets=fps[1])
-    entries = {
-        "tp_buckets": tp,
-        "det_buckets": _det_entries(config, tp, fps),
-        "tp_totals": _nonzero(state.tp_totals),
-        "gt_counts": _nonzero(state.gt_counts),
-    }
-    _check_entries(config, entries, "state")
-    _write_entries(fp, config, entries)
-
-
-def _det_entries(config: EvalConfig, tp, fps) -> tuple[np.ndarray, np.ndarray]:
-    """The det_buckets entries of a state whose tp_buckets and fp_buckets
-    hold the entries tp and fps, both >= 0: each bucket's TP + FP count,
-    taken at the first IoU threshold. Raises ValueError, naming both
-    arrays, if a bucket's TP + FP is outside int64 or another threshold's
-    occupied buckets or counts differ."""
-    keys, tp_counts, fp_counts = _join(tp, fps)
-    det = tp_counts + fp_counts  # both >= 0, so a sum past int64 wraps negative
-    if (det < 0).any():
+    det = _nonzero(state.tp_buckets[0] + state.fp_buckets[0])
+    n_t = len(config.iou_thresholds)
+    tp_at = state.tp_buckets.reshape(n_t, -1)[:, det[0]]
+    fp_at = state.fp_buckets.reshape(n_t, -1)[:, det[0]]
+    sums = tp_at + fp_at  # both >= 0, so a sum past int64 wraps negative
+    if (sums < 0).any():
         raise ValueError(
             "state arrays tp_buckets and fp_buckets: a bucket's TP + FP count is outside int64"
         )
-    n_t = len(config.iou_thresholds)
-    theta, local = np.divmod(keys, math.prod(_snapshot_shapes(config)["det_buckets"]))
-    per_theta = np.bincount(theta, minlength=n_t)
-    n = per_theta[0]
-    if (per_theta != n).any() or (local.reshape(n_t, n) != local[:n]).any() or (
-        (det.reshape(n_t, n) != det[:n]).any()
+    # each threshold's TP + FP equals det on det's buckets, and no count sits off them
+    if (sums != det[1]).any() or (
+        np.count_nonzero(tp_at) + np.count_nonzero(fp_at) != len(tp[0]) + len(fps[0])
     ):
         raise ValueError(
             "state arrays tp_buckets and fp_buckets: a bucket's TP + FP count"
             " differs between IoU thresholds"
         )
-    return local[:n], det[:n]
+    entries = {
+        "tp_buckets": tp,
+        "det_buckets": det,
+        "tp_totals": _nonzero(state.tp_totals),
+        "gt_counts": _nonzero(state.gt_counts),
+    }
+    _check_entries(config, entries, "state")
+    _write_entries(fp, config, entries)
 
 
 def _write_entries(fp: BinaryIO, config: EvalConfig, entries: dict) -> None:

@@ -50,9 +50,10 @@ MANY_CLASSES = DIFF + "test_many_class_batches_equal_the_scalar_reference"
 STREAMING = "tests/test_streaming.py::"
 MEMO = STREAMING + "TestHeaderMemo::"
 INT_FIELDS = STREAMING + "TestConfigRejects::test_integer_fields_take_python_ints_only"
-CLASS_IDS = (
-    "tests/test_geometry.py::TestRecordValidation::test_class_id_that_is_not_an_integer_rejected"
-)
+RECORDS = "tests/test_geometry.py::TestRecordValidation::"
+BOX_COORD = "tests/test_geometry.py::TestBoundingBox::test_coordinate_that_is_not_a_number_rejected"
+CONFIDENCE = RECORDS + "test_confidence_that_is_not_a_number_rejected"
+CLASS_IDS = RECORDS + "test_class_id_that_is_not_an_integer_rejected"
 PERTURB = DIFF + "test_perturb_equals_the_scalar_draw_loop"
 PINNED = "tests/test_pinned.py::test_pinned_reports"
 SYNTH_CSV = "tests/test_cli.py::TestSynthBench::test_rows_and_determinism"
@@ -64,6 +65,11 @@ HUGE_CLASS_ID = "tests/test_matching.py::TestMatchImage::" + (
     "test_class_id_past_int64_is_a_matching_error"
 )
 SAVE = STREAMING + "TestSaveStateRejects::"
+CROSS_THRESHOLD = (
+    "    if (sums != det[1]).any() or (\n"
+    "        np.count_nonzero(tp_at) + np.count_nonzero(fp_at) != len(tp[0]) + len(fps[0])\n"
+    "    ):\n"
+)
 
 MUTANTS = (
     Mutant(
@@ -299,10 +305,11 @@ MUTANTS = (
          HEADER_BYTE + "[extra bytes]"),
     ),
     Mutant(
-        "emitted detections written from the sampled ground truths",
+        "emitted detections of the previous run",
         "cli.py",
-        "json.dump(dataset_to_results_doc(synthetic), fh)",
-        "json.dump(dataset_to_results_doc(sampled), fh)",
+        "json.dump(dataset_to_results_doc(synthetic), fh)\n",
+        'json.dump(dataset_to_results_doc(locals().get("previous", synthetic)), fh)\n'
+        "                previous = synthetic\n",
         (EMITTED + "[0-100]", EMITTED + "[5-10000]"),
     ),
     Mutant(
@@ -347,12 +354,19 @@ MUTANTS = (
     Mutant(
         "save_state without the cross-threshold check",
         "streaming.py",
-        "    if (per_theta != n).any() or (local.reshape(n_t, n) != local[:n]).any() or (\n"
-        "        (det.reshape(n_t, n) != det[:n]).any()\n"
-        "    ):\n",
+        CROSS_THRESHOLD,
         "    if False:\n",
         (SAVE + "test_tp_plus_fp_differs_between_thresholds[bucket]",
-         SAVE + "test_tp_plus_fp_differs_between_thresholds[count]"),
+         SAVE + "test_tp_plus_fp_differs_between_thresholds[count]",
+         SAVE + "test_tp_plus_fp_differs_between_thresholds[later-bucket]",
+         SAVE + "test_tp_plus_fp_differs_between_thresholds[later-tp]"),
+    ),
+    Mutant(
+        "save_state compares the sums but not the occupancy",
+        "streaming.py",
+        CROSS_THRESHOLD,
+        "    if (sums != det[1]).any():\n",
+        (SAVE + "test_tp_plus_fp_differs_between_thresholds[later-bucket]",),
     ),
     Mutant(
         "save_state without the shape check",
@@ -364,9 +378,23 @@ MUTANTS = (
     Mutant(
         "save_state lets a TP + FP past int64 wrap",
         "streaming.py",
-        "    if (det < 0).any():\n",
+        "    if (sums < 0).any():\n",
         "    if False:\n",
         (SAVE + "test_tp_plus_fp_past_int64",),
+    ),
+    Mutant(
+        "box coordinate fast path takes every int subclass",
+        "geometry.py",
+        "if type(v) is not float and not _is_number(v):",
+        "if not isinstance(v, (float, int)) and not _is_number(v):",
+        (BOX_COORD + "[True]",),
+    ),
+    Mutant(
+        "Detection without the confidence type check",
+        "geometry.py",
+        "        if type(self.confidence) is not float and not _is_number(self.confidence):\n",
+        "        if False:\n",
+        (CONFIDENCE + "[real-True]", CONFIDENCE + "[padding-None]"),
     ),
     Mutant(
         "finalize without the negative-count check",

@@ -23,7 +23,7 @@ def test_rows_equal_update_and_evaluate_exact():
     rows = run_synth_bench(gt, cfg, image_counts=COUNTS, repeats=REPEATS, seed=SEED)
     runs = synthetic_runs(gt, COUNTS, REPEATS, SEED, PerturbationParams())
     want = []
-    for n, run, _, synthetic in runs:
+    for n, run, synthetic in runs:
         pairs = synthetic.pairs()
         streaming = finalize(update(new_state(cfg), pairs)).as_dict()
         exact = evaluate_exact(pairs, cfg).as_dict()

@@ -3,10 +3,12 @@ import hashlib
 import io
 import json
 import tracemalloc
+from unittest import mock
 
 import pytest
 
 from cocostream import EvalConfig, finalize, load_state, new_state, save_state, update
+from cocostream import bench
 from cocostream.cli import main
 from cocostream.streaming import _header, _nonzero, _write_entries
 
@@ -312,6 +314,33 @@ class TestSynthBench:
         assert set(doc) == {"images", "annotations", "categories"}
         rows = json.loads((emit_dir / "n4_run0_detections.json").read_text())
         assert all(set(r) == {"image_id", "category_id", "bbox", "score"} for r in rows)
+
+    def test_emit_json_draws_each_run_once(self, synthetic_pool_path, tmp_path, monkeypatch):
+        # the emitted runs used to be sampled and perturbed a second time
+        draws = {name: mock.Mock(wraps=getattr(bench, name)) for name in ("sample_images", "perturb")}
+        for name, draw in draws.items():
+            monkeypatch.setattr(bench, name, draw)
+        rc = run_cli(
+            "synth-bench", synthetic_pool_path,
+            "--image-counts", "100,200", "--repeats", "3", "--buckets", "100",
+            "--output", tmp_path / "rows.csv", "--summary-output", tmp_path / "summary.csv",
+            "--emit-json", tmp_path / "emit",
+        )
+        assert rc == 0
+        assert {name: draw.call_count for name, draw in draws.items()} == {
+            "sample_images": 6, "perturb": 6
+        }
+        assert len(list((tmp_path / "emit").iterdir())) == 12
+
+    def test_rejected_image_count_leaves_no_emit_files(self, golden_paths, tmp_path, capsys):
+        emit_dir = tmp_path / "emit"
+        rc = run_cli(
+            "synth-bench", golden_paths[0], "--image-counts", "1,50",
+            "--output", tmp_path / "rows.csv", "--emit-json", emit_dir,
+        )
+        assert rc == 2
+        assert "image count 50 exceeds dataset size" in capsys.readouterr().err
+        assert not emit_dir.exists()
 
     @pytest.mark.parametrize("buckets", [100, 10000])
     @pytest.mark.parametrize("seed", range(6))

@@ -50,6 +50,16 @@ class TestBoundingBox:
     def test_zero_area_permitted(self):
         assert box_area(BoundingBox(3, 4, 3, 9)) == 0
 
+    @pytest.mark.parametrize("value", [True, "10", None], ids=repr)
+    def test_coordinate_that_is_not_a_number_rejected(self, value):
+        # True used to be taken as 1; a str or None failed with a bare TypeError
+        with pytest.raises(ValueError, match=f"box right must be a real number, got {value!r}"):
+            BoundingBox(0, 0, value, 10)
+
+    @pytest.mark.parametrize("coords", [(0, 0, 10, 10), (0.5, np.float32(1), np.int64(2), 3.0)])
+    def test_python_and_numpy_real_coordinates_accepted(self, coords):
+        assert BoundingBox(*coords).right == coords[2]
+
 
 class TestIou:
     def test_identical_boxes(self):
@@ -124,6 +134,14 @@ class TestRecordValidation:
         for make in (make_det, make_gt):
             with pytest.raises(ValueError, match="class_id must be an integer, got"):
                 make(class_id=class_id)
+
+    @pytest.mark.parametrize("confidence", [True, "0.5", None], ids=repr)
+    @pytest.mark.parametrize("class_id", [0, -1], ids=["real", "padding"])
+    def test_confidence_that_is_not_a_number_rejected(self, confidence, class_id):
+        # True used to be taken as 1; a str or None failed with a bare TypeError
+        # or, on padding, was accepted
+        with pytest.raises(ValueError, match=f"confidence must be a real number, got {confidence!r}"):
+            make_det(class_id=class_id, confidence=confidence)
 
     @pytest.mark.parametrize(
         "class_id", [-1, 0, 2, np.int64(1), np.int32(-1), np.uint8(2)], ids=repr

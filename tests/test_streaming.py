@@ -1049,13 +1049,17 @@ class TestSaveStateRejects:
         getattr(state, name)[0, 0] = -1
         self.fails(state, f"negative counter in state array {name}")
 
-    @pytest.mark.parametrize("others", [0, 2], ids=["bucket", "count"])
-    def test_tp_plus_fp_differs_between_thresholds(self, others):
-        # one FP at the first threshold, and `others` at the rest: a
+    @pytest.mark.parametrize(
+        "first, rest",
+        [((0, 1), (0, 0)), ((0, 1), (0, 2)), ((0, 0), (0, 1)), ((1, 1), (3, 0))],
+        ids=["bucket", "count", "later-bucket", "later-tp"],
+    )
+    def test_tp_plus_fp_differs_between_thresholds(self, first, rest):
+        # one bucket's (TP, FP) at the first threshold, and at the rest: a
         # snapshot holds one detection count per bucket for all of them
         state = new_state(self.CONFIG)
-        state.fp_buckets[:, 0, 0, 0, 3] = others
-        state.fp_buckets[0, 0, 0, 0, 3] = 1
+        state.tp_buckets[1:, 0, 0, 0, 3], state.fp_buckets[1:, 0, 0, 0, 3] = rest
+        state.tp_buckets[0, 0, 0, 0, 3], state.fp_buckets[0, 0, 0, 0, 3] = first
         self.fails(state, "a bucket's TP + FP count differs between IoU thresholds")
 
     def test_tp_plus_fp_past_int64(self):
