@@ -9,25 +9,34 @@ matching, and max-dets truncation happens after area filtering.
 _match_columns, the array core, matches a batch given as image-grouped
 columns (_Columns); the CLI feeds it the columns cocostream.ingest reads
 from JSON. match_batch, its object adaptor (match_image is a batch of one),
-reads Detection and GroundTruth objects into columns and strips padding.
-The core matches a batch at the largest max-dets limit in one rank-major
-greedy loop: step s matches the s-th live detection of every (image, class,
-area) cell, for every IoU threshold at once, against a taken mask per
-(threshold, cell). Ground truths are grouped by (image, class), stably, and
+checks the input types, reads the class ids of Detection and GroundTruth
+objects, and then the boxes and confidences of the real (non-padding)
+rows only, flat. Ground truths are grouped by (image, class), stably, and
 each detection has one IoU row, against its own group only; each of its
 (area) columns reads that row masked to the area's ground truths. A
-detection is live when some ground truth it may take has IoU >= the lowest
-threshold; any other is an FP at every threshold and takes nothing, so
-skipping it changes no verdict. Each smaller limit is a prefix of that
-match, since greedy matching never revisits an earlier detection;
-streaming._tp_totals applies that max-dets prefix rule for every
-consumer of Matches. Batches are matched in chunks of consecutive images,
-so that no IoU matrix passes about _CHUNK_ELEMENTS entries plus one image's.
+column's candidates are the ground truths it may take with IoU >= the
+lowest threshold. A column with none is an FP at every threshold and
+takes nothing, so skipping it changes no verdict; the others are live. A
+live column competes when it shares a candidate with another column of
+its (image, class, area) cell. One that does not is a TP at each threshold
+its highest IoU reaches, since no other column can take its candidates
+first. Only competing columns go through the rank-major greedy loop:
+step s matches the s-th competing column of every cell, for every IoU
+threshold at once, against a taken mask per (threshold, cell). That is
+exact too, since a competing column can lose a ground truth only to an
+earlier competing column of its cell. The core matches at the largest
+max-dets limit; each smaller limit is a prefix of that match, since greedy
+matching never revisits an earlier detection; streaming._tp_totals applies
+that max-dets prefix rule for every consumer of Matches. Batches are
+matched in chunks of consecutive images, so that no IoU matrix passes
+about _CHUNK_ELEMENTS entries plus one image's.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sized
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -90,16 +99,21 @@ def match_batch(
 ) -> Matches:
     """Match every (detections, ground_truths) pair with _match_columns.
 
-    Padding entries are stripped internally. Class ids must lie in
-    [0, config.num_classes) after stripping; an image may hold any mix of
-    them, and MatchingError names the smallest bad id of the first image
-    that has one. Every other box must have a finite area: MatchingError
-    names the first image with one past the float range, and in it the
-    first such detection, else ground truth.
+    Each pair holds two sized sequences, of Detection and of GroundTruth
+    objects (subclasses too); anything else is a TypeError naming the
+    image's place in the batch, the side and the position. Padding entries
+    are stripped internally, and their boxes are never read. Class ids must
+    lie in [0, config.num_classes) after stripping; an image may hold any
+    mix of them, and MatchingError names the smallest bad id of the first
+    image that has one. Every other box must have a finite area:
+    MatchingError names the first image with one past the float range, and
+    in it the first such detection, else ground truth.
     """
-    pairs = list(pairs)
+    pairs = _pairs(pairs)
     dets = [d for ds, _ in pairs for d in ds]
     gts = [g for _, gs in pairs for g in gs]
+    _check_types(pairs, 0, dets, Detection)
+    _check_types(pairs, 1, gts, GroundTruth)
     det_img = np.repeat(np.arange(len(pairs)), [len(ds) for ds, _ in pairs])
     gt_img = np.repeat(np.arange(len(pairs)), [len(gs) for _, gs in pairs])
     n, items, ids_img = len(dets), dets + gts, np.concatenate([det_img, gt_img])
@@ -112,19 +126,60 @@ def match_batch(
     if bad.any():
         bad_id = ids[bad & (ids_img == ids_img[bad].min())].min()
         raise MatchingError(f"class id {bad_id} outside [0, {config.num_classes})")
+    # From here on only the real rows, detections first, are read.
+    rows = np.flatnonzero(real)
+    items, img, ids = [items[i] for i in rows.tolist()], ids_img[rows], ids[rows]
+    n = np.count_nonzero(real[:n])
     boxes = _box_array(items)
     with np.errstate(over="ignore"):
-        huge = real & ~np.isfinite(_areas(boxes))
+        huge = ~np.isfinite(_areas(boxes))
     if huge.any():
-        i = np.flatnonzero(huge & (ids_img == ids_img[huge].min()))[0]  # detections come first
-        kind, x = ("detection", dets[i]) if i < n else ("ground truth", gts[i - n])
+        i = np.flatnonzero(huge & (img == img[huge].min()))[0]  # detections come first
+        kind = "detection" if i < n else "ground truth"
         raise MatchingError(
-            f"image {ids_img[i]} of the batch: {kind} {x.box} has an area past the float range"
+            f"image {img[i]} of the batch: {kind} {items[i].box} has an area past the float range"
         )
-    confs = np.array([d.confidence for d in dets], dtype=float)
-    dets = _Columns(det_img, ids[:n], boxes[:n], confs).take(real[:n])
-    gts = _Columns(gt_img, ids[n:], boxes[n:], np.zeros(len(gts))).take(real[n:])
+    confs = np.fromiter([d.confidence for d in items[:n]], float, n)
+    dets = _Columns(img[:n], ids[:n], boxes[:n], confs)
+    gts = _Columns(img[n:], ids[n:], boxes[n:], np.zeros(len(items) - n))
     return _match_columns(config, len(pairs), dets, gts)
+
+
+def _pairs(pairs: Iterable) -> list[tuple[Sized, Sized]]:
+    """pairs as a list of (detections, ground truths); TypeError naming the
+    image's place in the batch, and the side, of the first that is not a
+    pair of sized sequences (None, or an iterator)."""
+    out = []
+    for i, pair in enumerate(pairs):
+        try:
+            ds, gs = pair
+        except (TypeError, ValueError):
+            raise TypeError(
+                f"image {i} of the batch: expected a (detections, ground truths) pair,"
+                f" got {type(pair).__name__}"
+            ) from None
+        for side, seq in (("detections", ds), ("ground truths", gs)):
+            if not isinstance(seq, Sized):
+                raise TypeError(
+                    f"image {i} of the batch: {side} must be a sequence, got {type(seq).__name__}"
+                )
+        out.append((ds, gs))
+    return out
+
+
+def _check_types(pairs: list, side: int, items: list, kind: type) -> None:
+    """TypeError naming the image, side and position of the first item on
+    that side of pairs that is not a kind; items is that side, flattened."""
+    if all(issubclass(t, kind) for t in set(map(type, items))):
+        return
+    name = ("detection", "ground truth")[side]
+    for i, pair in enumerate(pairs):
+        for j, x in enumerate(pair[side]):
+            if not isinstance(x, kind):
+                raise TypeError(
+                    f"image {i} of the batch: {name} {j} is a {type(x).__name__},"
+                    f" not a {kind.__name__}"
+                )
 
 
 def _match_columns(config: EvalConfig, images: int, dets: _Columns, gts: _Columns) -> Matches:
@@ -136,6 +191,9 @@ def _match_columns(config: EvalConfig, images: int, dets: _Columns, gts: _Column
     cells, and each may take only ground truths of its own image and class
     in its own area, so no two of them compete. A group keeps input order,
     so the first maximum of a row is the image's first ground truth at it.
+    Competing columns, the only ones that step, are marked with one
+    bincount per chunk over the (ground truth, area) keys of their
+    candidates.
     """
     det_img, det_cls, det_boxes, confs = dets
     gt_img, gt_cls, gt_boxes, _ = gts
@@ -194,21 +252,31 @@ def _match_columns(config: EvalConfig, images: int, dets: _Columns, gts: _Column
         gi = np.where(slots < size[r0:r1, None], start[r0:r1, None] + slots, len(key))
         row_ious = _iou(half_det[r0:r1, None], half_gt[gi])  # (rows, width)
         # A column whose detection's row reaches the lowest threshold takes
-        # that row, masked to its area range; only live columns step (see
-        # the module docstring).
+        # that row, masked to its area range; only these can have candidates.
         near = np.flatnonzero((row_ious.max(axis=1, initial=-1.0) >= low)[row[c0:c1] - r0])
         at_row = row[c0 + near] - r0
         ious = np.where(gt_in[area[c0 + near, None], gi[at_row]], row_ious[at_row], -1.0)
-        is_live = ious.max(axis=1, initial=-1.0) >= low
-        live, ious = near[is_live], ious[is_live]
-        # Live columns ordered by step; the claimed mask has one row per
-        # (image, area, class) cell they hold.
-        step = np.arange(len(live)) - np.searchsorted(cell[c0 + live], cell[c0 + live])
+        # A column competes when it shares a candidate (an IoU >= low, keyed
+        # by ground truth and area) with another column of its cell. Only
+        # competing columns step; any other is a TP wherever its highest IoU
+        # reaches the threshold, as no other column wants its candidates
+        # (module docstring).
+        j, s = np.nonzero(ious >= low)
+        g = gi[at_row[j], s]  # never the sentinel, which is in no area range
+        pair = (g - g.min(initial=len(key))) * areas + area[c0 + near[j]]
+        compete = np.zeros(len(near), dtype=bool)
+        compete[j[np.bincount(pair)[pair] > 1]] = True
+        tp[:, c0 + near[~compete]] = ious[~compete].max(axis=1, initial=-1.0) >= thetas
+        competing, ious = near[compete], ious[compete]
+        # Competing columns ordered by step; the claimed mask has one row
+        # per (image, area, class) cell they hold.
+        held = cell[c0 + competing]
+        step = np.arange(len(competing)) - np.searchsorted(held, held)
         at_cell = np.cumsum(step == 0) - 1
         by_step = np.argsort(step, kind="stable")
-        live, at_cell, ious = live[by_step], at_cell[by_step], ious[by_step]
+        competing, at_cell, ious = competing[by_step], at_cell[by_step], ious[by_step]
         taken = np.zeros((len(thetas), at_cell.max(initial=-1) + 1, len(slots)), dtype=bool)
-        hits = np.empty((len(thetas), len(live)), dtype=bool)
+        hits = np.empty((len(thetas), len(competing)), dtype=bool)
         ends = np.cumsum(np.bincount(step)).tolist()
         for s0, s1 in zip([0, *ends], ends):
             at = at_cell[s0:s1]
@@ -217,16 +285,15 @@ def _match_columns(config: EvalConfig, images: int, dets: _Columns, gts: _Column
             hits[:, s0:s1] = hit = avail.max(axis=-1) >= thetas
             t, c = np.nonzero(hit)
             taken[t, at[c], best[t, c]] = True
-        tp[:, c0 + live] = hits
+        tp[:, c0 + competing] = hits
 
     return Matches(config, cls, area, rank, confs[det], tp, gt_counts)
 
 
 def _box_array(items: Sequence[Detection] | Sequence[GroundTruth]) -> np.ndarray:
-    """(n, 4) corner coordinates."""
-    return np.array(
-        [[x.box.left, x.box.top, x.box.right, x.box.bottom] for x in items], dtype=float
-    ).reshape(-1, 4)
+    """(n, 4) corner coordinates, read flat."""
+    corners = chain.from_iterable((x.box.left, x.box.top, x.box.right, x.box.bottom) for x in items)
+    return np.fromiter(corners, float, 4 * len(items)).reshape(-1, 4)
 
 
 def _areas(boxes: np.ndarray) -> np.ndarray:

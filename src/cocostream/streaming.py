@@ -239,13 +239,25 @@ def _join(a, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def merge(a: BucketedState, b: BucketedState) -> BucketedState:
     """Elementwise sum of two states with identical configs, as a new state;
-    a and b are unchanged. Raises ValueError if a counter overflows int64."""
+    a and b are unchanged. Raises TypeError naming an argument that is no
+    BucketedState, and ValueError if a counter overflows int64."""
+    _states("merge", a=a, b=b)
     if a.config != b.config:
         raise MergeError("cannot merge states with differing configs")
     return BucketedState(
         a.config,
         **{n: _checked_sum(n, getattr(a, n), getattr(b, n)) for n in _array_shapes(a.config)},
     )
+
+
+def _states(function: str, **arguments: object) -> None:
+    """TypeError naming the first of function's arguments that is not a
+    BucketedState."""
+    for name, value in arguments.items():
+        if not isinstance(value, BucketedState):
+            raise TypeError(
+                f"{function}: argument {name} must be a BucketedState, got {type(value).__name__}"
+            )
 
 
 def interpolate_ap(
@@ -411,9 +423,11 @@ def finalize(state: BucketedState) -> MetricReport:
     the bucket-granularity PR curve and is approximate up to bucket width.
     Only the occupied buckets are reduced: an empty bucket repeats the PR
     point before it. Their flat indices, scanned forward and reversed, put
-    each cell's buckets in one run, highest first. Raises ValueError,
-    naming the array, if one of those buckets holds a negative count.
+    each cell's buckets in one run, highest first. Raises TypeError if
+    state is no BucketedState, and ValueError, naming the array, if one of
+    those buckets holds a negative count.
     """
+    _states("finalize", state=state)
     cfg = state.config
     flat = np.flatnonzero(np.logical_or(state.tp_buckets, state.fp_buckets))[::-1]
     tp, fp = np.take(state.tp_buckets, flat), np.take(state.fp_buckets, flat)

@@ -397,6 +397,32 @@ MUTANTS = (
         (CONFIDENCE + "[real-True]", CONFIDENCE + "[padding-None]"),
     ),
     Mutant(
+        "shared candidate keys counted from 3",
+        "matching.py",
+        "compete[j[np.bincount(pair)[pair] > 1]] = True",
+        "compete[j[np.bincount(pair)[pair] > 2]] = True",
+        ("tests/test_matching.py::TestMatchImageClass::test_second_detection_on_same_gt_is_fp",
+         DIFF + "test_match_image_cells_equal_reference",
+         DIFF + "test_update_equals_scalar_reference"),
+    ),
+    Mutant(
+        "candidates taken at the top threshold",
+        "matching.py",
+        "j, s = np.nonzero(ious >= low)",
+        "j, s = np.nonzero(ious >= thetas.max())",
+        (DIFF + "test_match_image_cells_equal_reference",
+         DIFF + "test_update_equals_scalar_reference"),
+    ),
+    Mutant(
+        "padding-free row map shifted by one",
+        "matching.py",
+        "rows = np.flatnonzero(real)",
+        "rows = np.flatnonzero(real) - 1",
+        ("tests/test_matching.py::TestMatchImageClass::test_single_pair_above_threshold",
+         "tests/test_matching.py::TestMatchImage::test_padding_stripped_internally",
+         DIFF + "test_update_equals_scalar_reference"),
+    ),
+    Mutant(
         "finalize without the negative-count check",
         "streaming.py",
         "    _nonnegative(tp_buckets=tp, fp_buckets=fp)\n",

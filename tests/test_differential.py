@@ -14,6 +14,9 @@ former loop of scalar draws, by exact equality of the datasets.
 Max-dets limits are drawn from 1-6, so prefixes of the single match at the
 largest limit really get cut; a few repeated confidences produce confidence
 ties, and ground-truth pairs mirrored about a detection's box tie in IoU.
+Crowded images put several detections on one ground truth beside one
+detection alone on its own, so both the matcher's greedy loop and the lone
+columns that skip it are drawn.
 """
 
 import io
@@ -98,6 +101,27 @@ def _images(draw, detections, ground_truths=ground_truths):
 
 
 images = _images(detections)
+
+
+@st.composite
+def _crowded_images(draw):
+    """An images draw plus a crowd of 2-5 detections of one class jittered
+    around one ground truth, which compete for it, and one detection alone
+    on a ground truth far from every other box, which competes with none."""
+    dets, gts = draw(images)
+    k = draw(st.integers(0, NUM_CLASSES - 1))
+    crowd, alone = draw(boxes()), _shifted(draw(boxes()), 100, 100)
+    for box in draw(st.permutations([crowd, alone])):
+        gts.insert(draw(st.integers(0, len(gts))), GroundTruth(box, k))
+    for _ in range(draw(st.integers(2, 5))):
+        dx, dy = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        det = Detection(_shifted(crowd, dx, dy), k, draw(confidences))
+        dets.insert(draw(st.integers(0, len(dets))), det)
+    dets.insert(draw(st.integers(0, len(dets))), Detection(alone, k, draw(confidences)))
+    return dets, gts
+
+
+crowded_images = _crowded_images()
 configs = st.builds(
     EvalConfig,
     num_classes=st.just(NUM_CLASSES),
@@ -114,7 +138,7 @@ def _class_inputs(dets, gts, k):
 
 
 @settings(max_examples=150, deadline=None)
-@given(config=configs, image=images)
+@given(config=configs, image=st.one_of(images, crowded_images))
 @example(  # the first detection ties between the two gts; the second sits on the later one
     config=EvalConfig(num_classes=NUM_CLASSES, iou_thresholds=(0.5, 0.75), buckets=7),
     image=(
@@ -161,7 +185,7 @@ def _assert_states_equal(got, want):
 
 
 @settings(max_examples=150, deadline=None)
-@given(config=configs, batch=st.lists(images, max_size=6))
+@given(config=configs, batch=st.lists(st.one_of(images, crowded_images), max_size=6))
 def test_update_equals_scalar_reference(config, batch):
     _assert_states_equal(update(new_state(config), batch), _scalar_state(config, batch))
 
@@ -279,7 +303,7 @@ tied_images = _images(tied_detections)
 
 
 @settings(max_examples=150, deadline=None)
-@given(config=configs, dataset=st.lists(tied_images, max_size=4))
+@given(config=configs, dataset=st.lists(st.one_of(tied_images, crowded_images), max_size=4))
 def test_evaluate_exact_equals_scalar_reference(config, dataset):
     n_t, n_a = len(config.iou_thresholds), len(config.area_ranges)
     gt_counts = np.zeros((NUM_CLASSES, n_a), dtype=np.int64)

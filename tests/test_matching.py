@@ -259,6 +259,72 @@ class TestMatchImage:
             match_batch(batch, small_config)
         assert match_batch(batch[:1], small_config).gt_counts.sum() == 2
 
+    @pytest.mark.parametrize(
+        "image, want",
+        [
+            (
+                None,
+                "image 1 of the batch: expected a (detections, ground truths) pair, got NoneType",
+            ),
+            (
+                (None, [make_gt()]),
+                "image 1 of the batch: detections must be a sequence, got NoneType",
+            ),
+            (
+                (iter([make_det()]), iter([make_gt()])),
+                "image 1 of the batch: detections must be a sequence, got list_iterator",
+            ),
+            (
+                ([make_det()], (g for g in [make_gt()])),
+                "image 1 of the batch: ground truths must be a sequence, got generator",
+            ),
+            (
+                ([make_det(), {"class_id": 0}], [make_gt()]),
+                "image 1 of the batch: detection 1 is a dict, not a Detection",
+            ),
+            (
+                ([make_gt()], [make_gt()]),
+                "image 1 of the batch: detection 0 is a GroundTruth, not a Detection",
+            ),
+            (
+                ([make_det()], [make_gt(), make_det(class_id=-1)]),
+                "image 1 of the batch: ground truth 1 is a Detection, not a GroundTruth",
+            ),
+        ],
+        ids=["pair-None", "dets-None", "iterators", "gts-generator", "dict", "gt-among-dets",
+             "det-among-gts"],
+    )
+    def test_wrong_type_input_is_a_type_error(self, small_config, image, want):
+        # Image 0 is good; the error names image 1, the side and the position,
+        # and update leaves the state as it was.
+        good = ([make_det(confidence=0.7)], [make_gt()])
+        with pytest.raises(TypeError, match=re.escape(want)):
+            match_batch([good, image, good], small_config)
+        with pytest.raises(TypeError, match=re.escape(want)):
+            evaluate_exact([good, image], small_config)
+        state = update(new_state(small_config), [good])
+        before = io.BytesIO()
+        save_state(state, before)
+        with pytest.raises(TypeError, match=re.escape(want)):
+            update(state, [good, image])
+        after = io.BytesIO()
+        save_state(state, after)
+        assert after.getvalue() == before.getvalue()
+
+    def test_subclasses_and_any_sized_sequences_pass(self, small_config):
+        class MyDetection(Detection):
+            pass
+
+        class MyGroundTruth(GroundTruth):
+            pass
+
+        det = MyDetection(BoundingBox(0.0, 0.0, 10.0, 10.0), 0, 0.5)
+        gt = MyGroundTruth(BoundingBox(0.0, 0.0, 10.0, 10.0), 0)
+        got = match_batch([[(det,), [gt]]], small_config)
+        assert got.tp.all()
+        want = match_batch([([make_det()], [make_gt()])], small_config)
+        np.testing.assert_array_equal(got.tp, want.tp)
+
     def test_grid_path_agrees_with_reference_per_cell(self, small_config):
         # every cell of the per-image loop must equal the brute-force cell
         rng = np.random.default_rng(11)

@@ -280,6 +280,13 @@ class TestMerge:
         with pytest.raises(MergeError):
             merge(a, b)
 
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_non_state_argument_is_a_type_error(self, small_config, side):
+        args = {"a": new_state(small_config), "b": new_state(small_config), side: None}
+        want = f"merge: argument {side} must be a BucketedState, got NoneType"
+        with pytest.raises(TypeError, match=re.escape(want)):
+            merge(args["a"], args["b"])
+
     def test_inputs_unchanged(self, small_config):
         # merge returns a new state; neither input may alias the result
         a = update(new_state(small_config), random_dataset(41, n_images=3))
@@ -1087,6 +1094,12 @@ def test_finalize_names_a_negative_counter():
         getattr(state, name)[0, 0, 0, 0, 3] = -1
         with pytest.raises(ValueError, match=f"negative counter in state array {name}"):
             finalize(state)
+
+
+def test_finalize_of_a_non_state_is_a_type_error():
+    want = "finalize: argument state must be a BucketedState, got NoneType"
+    with pytest.raises(TypeError, match=re.escape(want)):
+        finalize(None)
 
 
 class TestHeaderMemo:
